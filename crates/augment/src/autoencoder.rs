@@ -1,4 +1,4 @@
-use nn::layers::{Conv2d, MaxPool2d, Relu, Sigmoid, Upsample2d};
+use nn::layers::{Conv2d, ConvBlock, Relu, Sigmoid, Upsample2d};
 use nn::loss::mse;
 use nn::optim::Adam;
 use nn::{Layer, Sequential, Tensor};
@@ -94,15 +94,9 @@ impl ConvAutoencoder {
         let [c1, c2, c3] = config.channels;
         let k = config.kernel;
         let encoder = Sequential::new()
-            .with(Conv2d::same(1, c1, k, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c1, c2, k, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c2, c3, k, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2));
+            .with(ConvBlock::new(1, c1, k, &mut rng))
+            .with(ConvBlock::new(c1, c2, k, &mut rng))
+            .with(ConvBlock::new(c2, c3, k, &mut rng));
         let decoder = Sequential::new()
             .with(Upsample2d::new(2))
             .with(Conv2d::same(c3, c2, k, &mut rng))

@@ -47,7 +47,7 @@ fn bench_training(c: &mut Criterion) {
     });
 
     group.bench_function("inference_b32", |b| {
-        let mut model = SelectiveModel::new(&SelectiveConfig::for_grid(32), 3);
+        let model = SelectiveModel::new(&SelectiveConfig::for_grid(32), 3);
         b.iter(|| black_box(model.predict(black_box(&x), 0.5)));
     });
     group.finish();

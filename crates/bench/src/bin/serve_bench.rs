@@ -89,7 +89,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 /// One timed pass of the pre-engine status quo: per-wafer
-/// training-path `predict` calls on the legacy compute core. Returns
+/// training-path `forward` calls on the legacy compute core. Returns
 /// the wall clock and per-wafer latencies in milliseconds.
 fn baseline_pass(bundle: &CheckpointBundle, workload: &[WaferMap]) -> (f64, Vec<f64>) {
     let grid = bundle.model_config().grid;
@@ -103,9 +103,9 @@ fn baseline_pass(bundle: &CheckpointBundle, workload: &[WaferMap]) -> (f64, Vec<
         data.extend(w.to_image());
         let image = Tensor::from_vec(data, &[1, 1, grid, grid]);
         let t = Instant::now();
-        let preds = model.predict(&image, 0.5);
+        let (_, scores) = model.forward(&image);
         latencies.push(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(preds.len(), 1);
+        assert_eq!(scores.len(), 1);
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     pool::set_compute_mode(ComputeMode::Pooled);

@@ -1,4 +1,4 @@
-use nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Sigmoid};
+use nn::layers::{ConvBlock, Flatten, Linear, Relu, Sigmoid};
 use nn::optim::Adam;
 use nn::serialize::{RestoreError, StateDict};
 use nn::{Layer, Sequential, Tensor};
@@ -52,15 +52,9 @@ impl SelectiveModel {
         let [c1, c2, c3] = config.conv_channels;
         let [k1, k2, k3] = config.kernels;
         let trunk = Sequential::new()
-            .with(Conv2d::same(1, c1, k1, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c1, c2, k2, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c2, c3, k3, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
+            .with(ConvBlock::new(1, c1, k1, &mut rng))
+            .with(ConvBlock::new(c1, c2, k2, &mut rng))
+            .with(ConvBlock::new(c2, c3, k3, &mut rng))
             .with(Flatten::new())
             .with(Linear::new(config.flat_features(), config.fc, &mut rng))
             .with(Relu::new());
@@ -193,33 +187,25 @@ impl SelectiveModel {
     ///
     /// `threshold` is the selection cut-off τ: the model predicts when
     /// `g(x) ≥ τ` (τ = 0.5 reproduces the paper; see
-    /// [`crate::calibrate_threshold`] for coverage-targeted τ).
-    pub fn predict(&mut self, images: &Tensor, threshold: f32) -> Vec<SelectivePrediction> {
-        let (logits, g) = self.forward(images);
-        let probs = nn::loss::softmax(&logits);
-        let c = self.config.n_classes;
-        g.iter()
-            .enumerate()
-            .map(|(i, &score)| {
-                let row = &probs.data()[i * c..(i + 1) * c];
-                SelectivePrediction {
-                    label: nn::loss::argmax(row),
-                    confidence: row.iter().fold(0.0f32, |m, &v| m.max(v)),
-                    selection_score: score,
-                    selected: score >= threshold,
-                }
-            })
-            .collect()
+    /// [`crate::calibrate_threshold`] for coverage-targeted τ). Same as
+    /// [`SelectiveModel::infer_predict`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape does not match the configuration.
+    #[must_use]
+    pub fn predict(&self, images: &Tensor, threshold: f32) -> Vec<SelectivePrediction> {
+        self.infer_predict(images, threshold)
     }
 
     /// Inference-only batch classification — the serving path.
     ///
-    /// Bit-identical to [`SelectiveModel::predict`] but runs through
-    /// `&self` on the no-grad [`Layer::infer`] path: no activation
-    /// caches are written and samples are processed **block-major** —
-    /// the batch splits into fixed [`INFER_BLOCK`]-wafer blocks, each
-    /// block runs the whole network as one batched forward on its
-    /// worker. Blocked forwards amortize GEMM packing and per-call
+    /// Bit-identical to the training [`SelectiveModel::forward`] but
+    /// runs through `&self` on the no-grad [`Layer::infer`] path: no
+    /// activation caches are written and samples are processed
+    /// **block-major** — the batch splits into fixed
+    /// [`INFER_BLOCK`]-wafer blocks, each block runs the whole network
+    /// as one batched forward on its worker. Blocked forwards amortize GEMM packing and per-call
     /// overhead (one `m = 4` fc GEMM instead of four `m = 1` ones), so
     /// micro-batching pays even on a single core, while the per-block
     /// fan-out still scales across the pool.
@@ -300,9 +286,9 @@ impl SelectiveModel {
     }
 
     /// Selection scores `g(x)` for every sample of a dataset via the
-    /// inference-only path (bit-identical to
-    /// [`SelectiveModel::selection_scores`]); used by the serving
-    /// engine to calibrate τ without mutable access to the model.
+    /// inference-only path (bit-identical to the training forward's
+    /// `g`); used by the serving engine and
+    /// [`SelectiveModel::selection_scores`] to calibrate τ.
     ///
     /// # Panics
     ///
@@ -326,26 +312,24 @@ impl SelectiveModel {
     /// (coverage, selective accuracy, per-class coverage — the
     /// quantities of Table II).
     ///
-    /// Runs in mini-batches of 64 to bound memory.
+    /// Runs [`SelectiveModel::infer_predict`] in mini-batches of 64 to
+    /// bound memory.
     ///
     /// # Panics
     ///
     /// Panics if the dataset grid does not match the model's.
     #[must_use]
-    pub fn evaluate(&mut self, dataset: &Dataset, threshold: f32) -> SelectiveMetrics {
+    pub fn evaluate(&self, dataset: &Dataset, threshold: f32) -> SelectiveMetrics {
         assert_eq!(dataset.grid(), self.config.grid, "dataset grid mismatch");
+        let grid = self.config.grid;
         let mut metrics = SelectiveMetrics::new(self.config.n_classes);
-        let pixels = self.config.grid * self.config.grid;
-        let samples = dataset.samples();
-        for chunk in samples.chunks(64) {
-            let mut data = Vec::with_capacity(chunk.len() * pixels);
-            for s in chunk {
-                data.extend(s.map.to_image());
+        let mut images = Tensor::default();
+        for chunk in dataset.samples().chunks(64) {
+            images.resize(&[chunk.len(), 1, grid, grid]);
+            for (slot, s) in images.data_mut().chunks_exact_mut(grid * grid).zip(chunk) {
+                s.map.write_image_into(slot);
             }
-            let images =
-                Tensor::from_vec(data, &[chunk.len(), 1, self.config.grid, self.config.grid]);
-            let preds = self.predict(&images, threshold);
-            for (s, p) in chunk.iter().zip(preds) {
+            for (s, p) in chunk.iter().zip(self.infer_predict(&images, threshold)) {
                 let outcome = if p.selected {
                     SelectiveOutcome::Predicted(p.label)
                 } else {
@@ -358,27 +342,15 @@ impl SelectiveModel {
     }
 
     /// Selection scores `g(x)` for every sample of a dataset (used for
-    /// threshold calibration).
+    /// threshold calibration). Same as
+    /// [`SelectiveModel::infer_selection_scores`].
     ///
     /// # Panics
     ///
     /// Panics if the dataset grid does not match the model's.
     #[must_use]
-    pub fn selection_scores(&mut self, dataset: &Dataset) -> Vec<f32> {
-        assert_eq!(dataset.grid(), self.config.grid, "dataset grid mismatch");
-        let pixels = self.config.grid * self.config.grid;
-        let mut scores = Vec::with_capacity(dataset.len());
-        for chunk in dataset.samples().chunks(64) {
-            let mut data = Vec::with_capacity(chunk.len() * pixels);
-            for s in chunk {
-                data.extend(s.map.to_image());
-            }
-            let images =
-                Tensor::from_vec(data, &[chunk.len(), 1, self.config.grid, self.config.grid]);
-            let (_, g) = self.forward(&images);
-            scores.extend(g);
-        }
-        scores
+    pub fn selection_scores(&self, dataset: &Dataset) -> Vec<f32> {
+        self.infer_selection_scores(dataset)
     }
 
     /// Snapshot all parameters (including optimizer moments).
@@ -440,17 +412,17 @@ mod tests {
         let mut model = SelectiveModel::new(&tiny_config(), 5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let images = Tensor::randn(&[7, 1, 16, 16], 1.0, &mut rng);
-        let trained = model.predict(&images, 0.5);
+        let (logits, g) = model.forward(&images);
+        let probs = nn::loss::softmax(&logits);
         let served = model.infer_predict(&images, 0.5);
-        assert_eq!(trained.len(), served.len());
-        for (i, (a, b)) in trained.iter().zip(&served).enumerate() {
-            assert_eq!(a.label, b.label, "label diverged at sample {i}");
-            assert_eq!(a.confidence, b.confidence, "confidence diverged at sample {i}");
-            assert_eq!(
-                a.selection_score, b.selection_score,
-                "selection score diverged at sample {i}"
-            );
-            assert_eq!(a.selected, b.selected, "selection diverged at sample {i}");
+        assert_eq!(g.len(), served.len());
+        let c = model.config().n_classes;
+        for (i, (row, b)) in probs.data().chunks_exact(c).zip(&served).enumerate() {
+            assert_eq!(nn::loss::argmax(row), b.label, "label diverged at sample {i}");
+            let confidence = row.iter().fold(0.0f32, |m, &v| m.max(v));
+            assert_eq!(confidence.to_bits(), b.confidence.to_bits(), "confidence at sample {i}");
+            assert_eq!(g[i].to_bits(), b.selection_score.to_bits(), "score at sample {i}");
+            assert_eq!(g[i] >= 0.5, b.selected, "selection diverged at sample {i}");
         }
     }
 
@@ -493,7 +465,7 @@ mod tests {
 
     #[test]
     fn predict_threshold_controls_selection() {
-        let mut model = SelectiveModel::new(&tiny_config(), 1);
+        let model = SelectiveModel::new(&tiny_config(), 1);
         let x = Tensor::full(&[2, 1, 16, 16], 0.5);
         let all = model.predict(&x, 0.0);
         assert!(all.iter().all(|p| p.selected));
@@ -513,6 +485,58 @@ mod tests {
         let (lb, gb) = b.forward(&x);
         assert_eq!(la.data(), lb.data());
         assert_eq!(ga, gb);
+    }
+
+    /// The pre-fusion trunk: Table I as separate `Conv2d`, `Relu` and
+    /// `MaxPool2d` layers, the layout older bundles were written from.
+    fn separate_layer_model(config: &SelectiveConfig, seed: u64) -> SelectiveModel {
+        use nn::layers::{Conv2d, MaxPool2d};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [c1, c2, c3] = config.conv_channels;
+        let [k1, k2, k3] = config.kernels;
+        let trunk = Sequential::new()
+            .with(Conv2d::same(1, c1, k1, &mut rng))
+            .with(Relu::new())
+            .with(MaxPool2d::new(2))
+            .with(Conv2d::same(c1, c2, k2, &mut rng))
+            .with(Relu::new())
+            .with(MaxPool2d::new(2))
+            .with(Conv2d::same(c2, c3, k3, &mut rng))
+            .with(Relu::new())
+            .with(MaxPool2d::new(2))
+            .with(Flatten::new())
+            .with(Linear::new(config.flat_features(), config.fc, &mut rng))
+            .with(Relu::new());
+        let head_f = Linear::new(config.fc, config.n_classes, &mut rng);
+        let head_g =
+            Sequential::new().with(Linear::new(config.fc, 1, &mut rng)).with(Sigmoid::new());
+        SelectiveModel { config: *config, trunk, head_f, head_g, head_aux: None }
+    }
+
+    #[test]
+    fn state_dict_moves_between_fused_and_separate_trunks() {
+        let cfg = tiny_config();
+        let x = Tensor::randn(&[5, 1, 16, 16], 1.0, &mut StdRng::seed_from_u64(9));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        // Fused → separate: the separate stack reproduces the trunk
+        // features bit for bit on both passes.
+        let mut fused = SelectiveModel::new(&cfg, 8);
+        let mut separate = separate_layer_model(&cfg, 99);
+        separate.load_state_dict(&fused.state_dict()).expect("same parameters, same order");
+        assert_eq!(bits(&fused.trunk.infer(&x)), bits(&separate.trunk.infer(&x)));
+        assert_eq!(bits(&fused.trunk.forward(&x)), bits(&separate.trunk.forward(&x)));
+
+        // Separate → fused: a state dict captured from the old layout
+        // (what existing bundles hold) restores into today's model.
+        let mut old = separate_layer_model(&cfg, 10);
+        let mut restored = SelectiveModel::new(&cfg, 11);
+        restored.load_state_dict(&old.state_dict()).expect("existing bundles still load");
+        assert_eq!(bits(&old.trunk.infer(&x)), bits(&restored.trunk.infer(&x)));
+        let (old_logits, old_g) = old.forward(&x);
+        let (new_logits, new_g) = restored.forward(&x);
+        assert_eq!(bits(&old_logits), bits(&new_logits));
+        assert_eq!(old_g, new_g);
     }
 
     #[test]

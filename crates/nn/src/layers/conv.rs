@@ -41,11 +41,12 @@ pub struct Conv2d {
 }
 
 thread_local! {
-    /// Reusable im2col buffer for [`Conv2d::infer`]. One per thread:
+    /// Reusable im2col buffer for [`Conv2d::infer`] (and
+    /// [`super::ConvBlock::infer`]). One per thread:
     /// pool workers are persistent, so after warm-up the serving path
     /// performs no per-call allocation. `im2col` overwrites every
     /// element (padding included), so the buffer never needs zeroing.
-    static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    pub(super) static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Reusable `dcol` buffer for [`Conv2d::backward`]'s per-sample
     /// input-gradient GEMM. Per thread, like [`COL_SCRATCH`]: samples
     /// fan out across pool workers, and each worker zero-fills the
@@ -145,6 +146,130 @@ impl Conv2d {
         self.in_channels * self.kernel * self.kernel
     }
 
+    /// Check `input` is `[N, C_in, H, W]` and return its shape.
+    pub(super) fn input_dims(&self, input: &Tensor) -> [usize; 4] {
+        let shape = input.shape();
+        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
+        assert_eq!(
+            shape[1], self.in_channels,
+            "Conv2d expects {} input channels",
+            self.in_channels
+        );
+        [shape[0], shape[1], shape[2], shape[3]]
+    }
+
+    /// im2col block length for one `h x w` input sample.
+    pub(super) fn col_len(&self, h: usize, w: usize) -> usize {
+        let (oh, ow) = self.output_hw(h, w);
+        self.col_rows() * oh * ow
+    }
+
+    /// Bias vector, one entry per output channel.
+    pub(super) fn bias(&self) -> &[f32] {
+        self.bias.value.data()
+    }
+
+    /// Bias-free convolution of one sample: unfold `sample`
+    /// `[C_in, H, W]` into `col`, then accumulate
+    /// `out_n [C_out, OH·OW] += W [C_out, CKK] · col [CKK, OH·OW]`.
+    /// `out_n` must be zeroed for a plain product.
+    pub(super) fn gemm_sample(
+        &self,
+        sample: &[f32],
+        h: usize,
+        w: usize,
+        col: &mut [f32],
+        out_n: &mut [f32],
+    ) {
+        let (oh, ow) = self.output_hw(h, w);
+        self.im2col(sample, h, w, col);
+        sgemm(self.out_channels, self.col_rows(), oh * ow, self.weight.value.data(), col, out_n);
+    }
+
+    /// Add the per-channel bias to one sample's `[C_out, OH·OW]` output.
+    fn add_bias(&self, out_n: &mut [f32]) {
+        let plane = out_n.len() / self.out_channels;
+        for (chunk, &b) in out_n.chunks_exact_mut(plane).zip(self.bias()) {
+            chunk.iter_mut().for_each(|v| *v += b);
+        }
+    }
+
+    /// The backward pass shared by [`Conv2d`] and the fused
+    /// [`super::ConvBlock`]: for every sample of an input of
+    /// `input_shape`, `dout(i, body)` hands sample `i`'s output
+    /// gradient `[C_out, OH·OW]` to `body`, which accumulates that
+    /// sample's weight/bias partials and folds its input gradient.
+    /// `cols` holds the forward pass's per-sample im2col blocks.
+    ///
+    /// `dout` runs on pool workers, so a caller can rebuild the
+    /// gradient into per-thread scratch instead of materializing it
+    /// for the whole batch.
+    pub(super) fn backward_samples<F>(
+        &mut self,
+        input_shape: [usize; 4],
+        cols: &[f32],
+        dout: F,
+    ) -> Tensor
+    where
+        F: Fn(usize, &mut dyn FnMut(&[f32])) + Sync,
+    {
+        let [n, c, h, w] = input_shape;
+        let (oh, ow) = self.output_hw(h, w);
+        let col_rows = self.col_rows();
+        let col_size = col_rows * oh * ow;
+        let c_out = self.out_channels;
+        let w_len = self.weight.grad.numel();
+        let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+        // Per-sample weight/bias gradient partials, reduced serially in
+        // sample order below so the result is independent of how the
+        // pool schedules samples across threads. The buffers persist in
+        // the layer scratch; zero-filling them (the GEMM accumulates)
+        // touches memory but allocates nothing after the first batch.
+        let mut dw_vec = std::mem::take(&mut self.scratch.dw_partials);
+        let mut db_vec = std::mem::take(&mut self.scratch.db_partials);
+        workspace::reserve_f32(&mut dw_vec, n * w_len).fill(0.0);
+        workspace::reserve_f32(&mut db_vec, n * c_out).fill(0.0);
+        if oh * ow > 0 {
+            let dw_shards = Shards::new(&mut dw_vec[..n * w_len], w_len);
+            let db_shards = Shards::new(&mut db_vec[..n * c_out], c_out);
+            let gi_shards = Shards::new(grad_input.data_mut(), c * h * w);
+            let this = &*self;
+            pool::parallel_for(n, |i| {
+                let col = &cols[i * col_size..(i + 1) * col_size];
+                dout(i, &mut |dout_n| {
+                    // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
+                    sgemm_nt(c_out, oh * ow, col_rows, dout_n, col, dw_shards.claim(i));
+                    // db_i[co] = Σ dOut_i[co, :]
+                    let db_i = db_shards.claim(i);
+                    for (co, chunk) in dout_n.chunks_exact(oh * ow).enumerate() {
+                        db_i[co] = chunk.iter().sum::<f32>();
+                    }
+                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i
+                    DCOL_SCRATCH.with(|cell| {
+                        let mut buf = cell.borrow_mut();
+                        let dcol = workspace::reserve_f32(&mut buf, col_size);
+                        dcol.fill(0.0);
+                        sgemm_tn(col_rows, c_out, oh * ow, this.weight.value.data(), dout_n, dcol);
+                        this.col2im(dcol, h, w, gi_shards.claim(i));
+                    });
+                });
+            });
+        }
+        for i in 0..n {
+            let dw_i = &dw_vec[i * w_len..(i + 1) * w_len];
+            for (dst, &src) in self.weight.grad.data_mut().iter_mut().zip(dw_i) {
+                *dst += src;
+            }
+            let db_i = &db_vec[i * c_out..(i + 1) * c_out];
+            for (dst, &src) in self.bias.grad.data_mut().iter_mut().zip(db_i) {
+                *dst += src;
+            }
+        }
+        self.scratch.dw_partials = dw_vec;
+        self.scratch.db_partials = db_vec;
+        grad_input
+    }
+
     /// Unfold one sample `[C_in, H, W]` into `col [C_in·k·k, OH·OW]`.
     fn im2col(&self, sample: &[f32], h: usize, w: usize, col: &mut [f32]) {
         let (oh, ow) = self.output_hw(h, w);
@@ -210,13 +335,9 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
-        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        assert_eq!(c, self.in_channels, "Conv2d expects {} input channels", self.in_channels);
+        let [n, c, h, w] = self.input_dims(input);
         let (oh, ow) = self.output_hw(h, w);
-        let col_rows = self.col_rows();
-        let col_size = col_rows * oh * ow;
+        let col_size = self.col_len(h, w);
         // Reclaim the warm im2col buffer (from the previous cache or
         // the parked scratch) instead of allocating per batch; `im2col`
         // overwrites every element, so no zeroing either.
@@ -238,15 +359,9 @@ impl Layer for Conv2d {
             let this = &*self;
             pool::parallel_for(n, |i| {
                 let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                let col = col_shards.claim(i);
-                this.im2col(sample, h, w, col);
                 let out_n = out_shards.claim(i);
-                // out_n [C_out, OH·OW] = W [C_out, CKK] · col [CKK, OH·OW]
-                sgemm(this.out_channels, col_rows, oh * ow, this.weight.value.data(), col, out_n);
-                for (co, chunk) in out_n.chunks_exact_mut(oh * ow).enumerate() {
-                    let b = this.bias.value.data()[co];
-                    chunk.iter_mut().for_each(|v| *v += b);
-                }
+                this.gemm_sample(sample, h, w, col_shards.claim(i), out_n);
+                this.add_bias(out_n);
             });
         }
         self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow), cols });
@@ -254,13 +369,9 @@ impl Layer for Conv2d {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
-        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        assert_eq!(c, self.in_channels, "Conv2d expects {} input channels", self.in_channels);
+        let [n, c, h, w] = self.input_dims(input);
         let (oh, ow) = self.output_hw(h, w);
-        let col_rows = self.col_rows();
-        let col_size = col_rows * oh * ow;
+        let col_size = self.col_len(h, w);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         if oh * ow > 0 {
             let input_data = input.data();
@@ -271,20 +382,9 @@ impl Layer for Conv2d {
                 workspace::reserve_f32(&mut col, col_size);
                 for i in 0..n {
                     let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                    self.im2col(sample, h, w, &mut col[..col_size]);
                     let out_n = &mut out_data[i * out_plane..(i + 1) * out_plane];
-                    sgemm(
-                        self.out_channels,
-                        col_rows,
-                        oh * ow,
-                        self.weight.value.data(),
-                        &col[..col_size],
-                        out_n,
-                    );
-                    for (co, chunk) in out_n.chunks_exact_mut(oh * ow).enumerate() {
-                        let b = self.bias.value.data()[co];
-                        chunk.iter_mut().for_each(|v| *v += b);
-                    }
+                    self.gemm_sample(sample, h, w, &mut col[..col_size], out_n);
+                    self.add_bias(out_n);
                 }
             });
         }
@@ -292,68 +392,20 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let [n, c, h, w] = cache.input_shape;
+        let cache = self.cache.take().expect("backward before forward");
+        let n = cache.input_shape[0];
         let (oh, ow) = cache.out_hw;
         assert_eq!(
             grad_output.shape(),
             &[n, self.out_channels, oh, ow],
             "bad grad shape for Conv2d"
         );
-        let col_rows = self.col_rows();
-        let col_size = col_rows * oh * ow;
         let out_plane = self.out_channels * oh * ow;
-        let c_out = self.out_channels;
-        let w_len = self.weight.grad.numel();
-        let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-        // Per-sample weight/bias gradient partials, reduced serially in
-        // sample order below so the result is independent of how the
-        // pool schedules samples across threads. The buffers persist in
-        // the layer scratch; zero-filling them (the GEMM accumulates)
-        // touches memory but allocates nothing after the first batch.
-        let mut dw_vec = std::mem::take(&mut self.scratch.dw_partials);
-        let mut db_vec = std::mem::take(&mut self.scratch.db_partials);
-        workspace::reserve_f32(&mut dw_vec, n * w_len).fill(0.0);
-        workspace::reserve_f32(&mut db_vec, n * c_out).fill(0.0);
-        if oh * ow > 0 {
-            let dout = grad_output.data();
-            let cols = &cache.cols;
-            let dw_shards = Shards::new(&mut dw_vec[..n * w_len], w_len);
-            let db_shards = Shards::new(&mut db_vec[..n * c_out], c_out);
-            let gi_shards = Shards::new(grad_input.data_mut(), c * h * w);
-            let this = &*self;
-            pool::parallel_for(n, |i| {
-                let dout_n = &dout[i * out_plane..(i + 1) * out_plane];
-                let col = &cols[i * col_size..(i + 1) * col_size];
-                // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                sgemm_nt(c_out, oh * ow, col_rows, dout_n, col, dw_shards.claim(i));
-                // db_i[co] = Σ dOut_i[co, :]
-                let db_i = db_shards.claim(i);
-                for (co, chunk) in dout_n.chunks_exact(oh * ow).enumerate() {
-                    db_i[co] = chunk.iter().sum::<f32>();
-                }
-                // dcol [CKK, OH·OW] = Wᵀ · dOut_i
-                DCOL_SCRATCH.with(|cell| {
-                    let mut buf = cell.borrow_mut();
-                    let dcol = workspace::reserve_f32(&mut buf, col_size);
-                    dcol.fill(0.0);
-                    sgemm_tn(col_rows, c_out, oh * ow, this.weight.value.data(), dout_n, dcol);
-                    this.col2im(dcol, h, w, gi_shards.claim(i));
-                });
-            });
-        }
-        for i in 0..n {
-            let dw_i = &dw_vec[i * w_len..(i + 1) * w_len];
-            for (dst, &src) in self.weight.grad.data_mut().iter_mut().zip(dw_i) {
-                *dst += src;
-            }
-            let db_i = &db_vec[i * c_out..(i + 1) * c_out];
-            for (dst, &src) in self.bias.grad.data_mut().iter_mut().zip(db_i) {
-                *dst += src;
-            }
-        }
-        self.scratch.dw_partials = dw_vec;
-        self.scratch.db_partials = db_vec;
+        let dout = grad_output.data();
+        let grad_input = self.backward_samples(cache.input_shape, &cache.cols, |i, body| {
+            body(&dout[i * out_plane..(i + 1) * out_plane]);
+        });
+        self.cache = Some(cache);
         grad_input
     }
 

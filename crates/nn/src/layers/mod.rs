@@ -8,6 +8,7 @@ mod activation;
 mod avgpool;
 mod batchnorm;
 mod conv;
+mod conv_block;
 mod convtranspose;
 mod dropout;
 mod linear;
@@ -19,6 +20,7 @@ pub use activation::{stable_sigmoid, Relu, Sigmoid, Tanh};
 pub use avgpool::AvgPool2d;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
+pub use conv_block::ConvBlock;
 pub use convtranspose::ConvTranspose2d;
 pub use dropout::Dropout;
 pub use linear::Linear;

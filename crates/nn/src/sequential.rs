@@ -58,28 +58,27 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
+    // The first layer reads the caller's tensor directly; only the
+    // empty chain (the identity) copies it.
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        rest.iter_mut().fold(first.forward(input), |cur, layer| layer.forward(&cur))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut cur = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        cur
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return grad_output.clone();
+        };
+        rest.iter_mut().rev().fold(last.backward(grad_output), |cur, layer| layer.backward(&cur))
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            cur = layer.infer(&cur);
-        }
-        cur
+        let Some((first, rest)) = self.layers.split_first() else {
+            return input.clone();
+        };
+        rest.iter().fold(first.infer(input), |cur, layer| layer.infer(&cur))
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {

@@ -12,10 +12,11 @@
 //! - `hotpath_scratch_bytes` — current total bytes held (gauge).
 //!
 //! In steady state (fixed shapes after the first batch) the grow
-//! counter must stay flat: that is the "zero hot-path allocations"
-//! contract, asserted by `crates/core/tests/hot_path_alloc.rs`. The
-//! counters are monotone and process-global, so tests assert on
-//! deltas.
+//! counter must stay flat: no scratch buffer grows again. That is
+//! asserted by `crates/core/tests/hot_path_alloc.rs`; it does not make
+//! the hot path allocation-free, since layers still return fresh
+//! tensors. The counters are monotone and process-global, so tests
+//! assert on deltas.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -58,9 +59,16 @@ fn metrics() -> &'static ScratchMetrics {
 /// returned slice themselves, which touches memory but allocates
 /// nothing.
 pub fn reserve_f32(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    reserve(buf, len)
+}
+
+/// [`reserve_f32`] for any plain element type (e.g. the `u8` argmax
+/// codes of [`crate::layers::ConvBlock`]); new elements are
+/// `T::default()`, and growth is counted in bytes like the `f32` case.
+pub(crate) fn reserve<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
-        let grown = (len - buf.len()) * std::mem::size_of::<f32>();
-        buf.resize(len, 0.0);
+        let grown = (len - buf.len()) * std::mem::size_of::<T>();
+        buf.resize(len, T::default());
         let m = metrics();
         m.grows.inc();
         m.grow_bytes.add(grown as u64);
@@ -73,7 +81,7 @@ pub fn reserve_f32(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// Total number of scratch growths so far (process-wide, monotone).
 ///
 /// Steady-state training must leave this flat between batches; the
-/// allocation-freedom tests snapshot it around a warm run.
+/// workspace-growth test snapshots it around a warm run.
 #[must_use]
 pub fn grow_count() -> u64 {
     metrics().grows.get()

@@ -48,7 +48,7 @@ fn sweep_agrees_with_direct_evaluation() {
 
 #[test]
 fn monitor_flags_shifted_stream_but_not_nominal() {
-    let (mut model, test) = trained_model();
+    let (model, test) = trained_model();
     let nominal_cov = model.evaluate(&test, 0.5).coverage();
     // Window of 40, alarm at 30% of the model's own nominal coverage:
     // the nominal stream must stay quiet.

@@ -11,7 +11,14 @@
 //!   bit-flipped; each corrupted copy must load as a *typed*
 //!   [`selective::LoadError`] — never a panic, never a silently wrong
 //!   value. Loads run under `catch_unwind` and the report counts
-//!   panics (acceptance: zero).
+//!   panics (acceptance: zero). Three more faults per artifact are
+//!   *re-sealed*: the payload is rewritten with a valid checksum, so
+//!   the load gets past every header check — a nesting bomb (a million
+//!   `[`), a tensor whose data is one value short of its shape, and a
+//!   parameter whose Adam first moment has the wrong shape. The state
+//!   dict, checkpoint and bundle loaders therefore also restore what
+//!   they loaded into the matching model, and a restore failure
+//!   counts as the typed outcome `Restore`.
 //! - **Fallback recovery** — a generation chain of bundles with the
 //!   newest N-1 corrupted must always recover via
 //!   [`CheckpointBundle::load_with_fallback`] as long as one intact
@@ -36,13 +43,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use faultsim::{byte_classes, flip_bit_at, truncate_at, FaultPlan, SimClock};
-use nn::pool;
-use nn::serialize::{Checkpoint, StateDict};
-use nn::simd;
+use nn::serialize::{read_container, write_container, Checkpoint, StateDict};
+use nn::{pool, simd, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selective::{CheckpointBundle, LoadError, SelectiveConfig, SelectiveModel};
-use serde::Serialize;
+use serde::{Deserialize, Serialize, Value};
 use serve::{Engine, RawWafer, ServeConfig, ShedReason, WaferDecision};
 
 #[derive(Serialize)]
@@ -50,7 +56,8 @@ struct CorruptionScenario {
     artifact: String,
     fault: String,
     offset: u64,
-    /// `LoadError` variant name the corrupted load produced, or
+    /// `LoadError` variant name the corrupted load produced,
+    /// "Restore" when it loaded but did not restore into the model, or
     /// "ok" when the fault did not structurally damage the artifact
     /// (possible only for payload-region faults caught by the CRC —
     /// never observed — or offsets past a short file, skipped).
@@ -187,13 +194,86 @@ fn sweep_artifact(
     let _ = std::fs::remove_file(&target);
 }
 
+/// Field `key` of a JSON object.
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Object(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect("artifact field").1
+        }
+        other => panic!("expected an object, got {}", other.kind()),
+    }
+}
+
+/// Payload faults that keep a valid checksum: each rewrites the
+/// pristine artifact's payload and re-seals it with `write_container`.
+/// `entries` is the key path from the payload root to the state
+/// dict's parameter list.
+fn resealed_sweep(
+    dir: &Path,
+    artifact: &str,
+    pristine: &Path,
+    entries: &[&str],
+    load_variant: &dyn Fn(&Path) -> Option<&'static str>,
+    details: &mut Vec<CorruptionScenario>,
+) {
+    let payload = read_container(pristine).expect("pristine artifact loads").payload;
+    let root: Value = std::str::from_utf8(&payload)
+        .ok()
+        .and_then(|text| serde_json::from_str(text).ok())
+        .expect("pristine payload parses");
+    // The first parameter's tensor `name`, rewritten by `edit`.
+    let edit_first_param = |name: &str, edit: &dyn Fn(&mut Value)| {
+        let mut root = root.clone();
+        let params = entries.iter().fold(&mut root, |v, key| field_mut(v, key));
+        let Value::Array(params) = params else { panic!("state dict entries are an array") };
+        edit(field_mut(&mut params[0], name));
+        serde_json::to_string(&root).expect("serialize").into_bytes()
+    };
+    let faults: [(&str, Vec<u8>); 3] = [
+        ("nesting_bomb", "[".repeat(1_000_000).into_bytes()),
+        (
+            "tensor_data_mismatch",
+            edit_first_param("value", &|tensor| {
+                let numel: usize = tensor
+                    .get("shape")
+                    .and_then(Value::as_array)
+                    .expect("tensor shape")
+                    .iter()
+                    .map(|d| usize::from_value(d).expect("dimension"))
+                    .product();
+                let short = Tensor::zeros(&[numel - 1]).to_value();
+                *field_mut(tensor, "data") = short.get("data").expect("data").clone();
+            }),
+        ),
+        (
+            "moment_shape_mismatch",
+            edit_first_param("m", &|tensor| *tensor = Tensor::zeros(&[1, 1, 1, 1, 7]).to_value()),
+        ),
+    ];
+    for (fault, payload) in faults {
+        let target = dir.join(format!("{artifact}_resealed_{fault}.bin"));
+        write_container(&target, &payload).expect("write re-sealed artifact");
+        let (outcome, panicked) = probe(|| load_variant(&target));
+        details.push(CorruptionScenario {
+            artifact: artifact.to_string(),
+            fault: format!("resealed:{fault}"),
+            offset: 0,
+            outcome,
+            panicked,
+        });
+        let _ = std::fs::remove_file(&target);
+    }
+}
+
 fn corruption_sweep(dir: &Path, bundle: &CheckpointBundle, seed: u64) -> CorruptionSummary {
     // Pristine copies of all three durable artifacts.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = nn::Sequential::new()
-        .with(nn::layers::Linear::new(8, 4, &mut rng))
-        .with(nn::layers::Relu::new());
-    let state = StateDict::capture(&mut net);
+    let net = || {
+        let mut rng = StdRng::seed_from_u64(seed);
+        nn::Sequential::new()
+            .with(nn::layers::Linear::new(8, 4, &mut rng))
+            .with(nn::layers::Relu::new())
+    };
+    let state = StateDict::capture(&mut net());
     let state_path = dir.join("pristine_state.json");
     state.save(&state_path).expect("save state dict");
     let ckpt_path = dir.join("pristine_ckpt.json");
@@ -203,15 +283,25 @@ fn corruption_sweep(dir: &Path, bundle: &CheckpointBundle, seed: u64) -> Corrupt
 
     let mut plan = FaultPlan::new(seed);
     let mut details = Vec::new();
+    // Each loader also restores what it loaded, as every consumer does
+    // before using the parameters.
+    let restore = |state: &StateDict| state.restore(&mut net()).err().map(|_| "Restore");
     let state_load: &dyn Fn(&Path) -> Option<&'static str> =
-        &|p| StateDict::load(p).err().as_ref().map(variant_name);
+        &|p| StateDict::load(p).map_or_else(|e| Some(variant_name(&e)), |s| restore(&s));
     let ckpt_load: &dyn Fn(&Path) -> Option<&'static str> =
-        &|p| Checkpoint::load(p).err().as_ref().map(variant_name);
-    let bundle_load: &dyn Fn(&Path) -> Option<&'static str> =
-        &|p| CheckpointBundle::load(p).err().as_ref().map(variant_name);
-    sweep_artifact(dir, "state_dict", &state_path, state_load, &mut plan, &mut details);
-    sweep_artifact(dir, "checkpoint", &ckpt_path, ckpt_load, &mut plan, &mut details);
-    sweep_artifact(dir, "bundle", &bundle_path, bundle_load, &mut plan, &mut details);
+        &|p| Checkpoint::load(p).map_or_else(|e| Some(variant_name(&e)), |c| restore(c.params()));
+    let bundle_load: &dyn Fn(&Path) -> Option<&'static str> = &|p| {
+        CheckpointBundle::load(p)
+            .map_or_else(|e| Some(variant_name(&e)), |b| b.build_model().err().map(|_| "Restore"))
+    };
+    for (artifact, path, load, entries) in [
+        ("state_dict", &state_path, state_load, &["entries"][..]),
+        ("checkpoint", &ckpt_path, ckpt_load, &["params", "entries"]),
+        ("bundle", &bundle_path, bundle_load, &["checkpoint", "params", "entries"]),
+    ] {
+        sweep_artifact(dir, artifact, path, load, &mut plan, &mut details);
+        resealed_sweep(dir, artifact, path, entries, load, &mut details);
+    }
 
     let mut by_variant: Vec<(String, u64)> = Vec::new();
     let mut typed_errors = 0;

@@ -1,5 +1,5 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
@@ -19,7 +19,13 @@ use serde::{Deserialize, Serialize};
 /// let u = t.map(|v| v * 2.0);
 /// assert_eq!(u.data()[3], 8.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serialized as `{"shape": [...], "data": "<base64>"}`: the data is the
+/// little-endian bytes of every `f32` in standard padded base64, so a
+/// round trip is bit-exact for every value, NaN payloads and ±∞
+/// included. Deserializing checks that the data length equals the
+/// shape product and rejects non-canonical base64.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -286,6 +292,117 @@ fn checked_numel(shape: &[usize]) -> usize {
     assert!(!shape.is_empty(), "tensor shape must have at least one dimension");
     assert!(shape.iter().all(|&d| d > 0), "tensor dimensions must be non-zero: {shape:?}");
     shape.iter().product()
+}
+
+impl Serialize for Tensor {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("shape".to_owned(), self.shape.to_value()),
+            ("data".to_owned(), Value::String(base64_encode_f32(&self.data))),
+        ])
+    }
+}
+
+impl Deserialize for Tensor {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        if value.as_object().is_none() {
+            return Err(serde::Error::expected("tensor object", value));
+        }
+        let field =
+            |name| value.get(name).ok_or_else(|| serde::Error::missing_field("Tensor", name));
+        let shape = Vec::<usize>::from_value(field("shape")?)?;
+        let data = field("data")?;
+        let text = data.as_str().ok_or_else(|| {
+            serde::Error::custom(format!(
+                "tensor data must be a base64 string, got {} (checkpoints before format 2 \
+                 stored decimal arrays and are not readable)",
+                data.kind()
+            ))
+        })?;
+        let numel = shape
+            .iter()
+            .try_fold(1usize, |n, &d| if d == 0 { None } else { n.checked_mul(d) })
+            .filter(|_| !shape.is_empty())
+            .ok_or_else(|| serde::Error::custom(format!("invalid tensor shape {shape:?}")))?;
+        let data = base64_decode_f32(text)?;
+        if data.len() != numel {
+            return Err(serde::Error::custom(format!(
+                "tensor data holds {} values, shape {shape:?} needs {numel}",
+                data.len()
+            )));
+        }
+        Ok(Tensor { shape, data })
+    }
+}
+
+const BASE64_ALPHABET: &[u8; 64] =
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Sextet value of each byte, or `0xFF` for bytes outside the alphabet.
+const BASE64_SEXTET: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Standard padded base64 of the little-endian bytes of `values`.
+fn base64_encode_f32(values: &[f32]) -> String {
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
+    for chunk in bytes.chunks(3) {
+        let n = chunk.iter().enumerate().fold(0u32, |n, (i, &b)| n | u32::from(b) << (16 - 8 * i));
+        for i in 0..4 {
+            let sextet = (n >> (18 - 6 * i)) & 63;
+            out.push(if i <= chunk.len() {
+                char::from(BASE64_ALPHABET[sextet as usize])
+            } else {
+                '='
+            });
+        }
+    }
+    out
+}
+
+/// Inverse of [`base64_encode_f32`]. Accepts only canonical encodings:
+/// length a multiple of 4, `=` only as final padding, zero padding
+/// bits, and a byte count that is a whole number of `f32`s.
+fn base64_decode_f32(text: &str) -> Result<Vec<f32>, serde::Error> {
+    let text = text.as_bytes();
+    if !text.len().is_multiple_of(4) {
+        return Err(serde::Error::custom("base64 length is not a multiple of 4"));
+    }
+    let pad = text.iter().rev().take(2).take_while(|&&c| c == b'=').count();
+    let n_bytes = text.len() / 4 * 3 - pad;
+    if !n_bytes.is_multiple_of(4) {
+        return Err(serde::Error::custom(format!("{n_bytes} data bytes is not a whole f32 count")));
+    }
+    let mut bytes = Vec::with_capacity(n_bytes + 2);
+    for quad in text.chunks_exact(4) {
+        let mut n = 0u32;
+        for &c in quad {
+            let sextet = match (c, BASE64_SEXTET[usize::from(c)]) {
+                (b'=', _) => 0,
+                (_, 0xFF) => {
+                    return Err(serde::Error::custom(format!("invalid base64 byte {c:#04x}")))
+                }
+                (_, sextet) => sextet,
+            };
+            n = n << 6 | u32::from(sextet);
+        }
+        bytes.extend_from_slice(&n.to_be_bytes()[1..]);
+    }
+    // `=` decodes as sextet 0 above; it is legal only as the final
+    // `pad` bytes, and the bits it pads must be zero.
+    let body = &text[..text.len() - pad];
+    if body.contains(&b'=') || bytes[n_bytes..].iter().any(|&b| b != 0) {
+        return Err(serde::Error::custom("non-canonical base64 padding"));
+    }
+    bytes.truncate(n_bytes);
+    Ok(bytes.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect())
 }
 
 #[cfg(test)]

@@ -7,8 +7,12 @@
 //! integer fields round-trip exactly; floats print with Rust's
 //! shortest round-trip formatting, so every finite `f32`/`f64`
 //! round-trips bit-exactly. Non-finite floats serialize as `null`
-//! (JSON has no NaN/Infinity), matching what the checkpointing layer
-//! expects.
+//! (JSON has no NaN/Infinity); types that must keep them exact encode
+//! themselves as strings (checkpoint tensors do).
+//!
+//! The parser runs in time linear in its input and nests at most
+//! [`MAX_DEPTH`] arrays/objects deep, so hostile input is an error,
+//! never a stack overflow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,6 +21,11 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize, Value};
+
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so this bounds its stack use; the
+/// workspace's own documents nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serialization / deserialization error.
 #[derive(Debug)]
@@ -194,12 +203,14 @@ fn write_string(out: &mut String, s: &str) {
 // ---- parser ----------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value(input: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -255,8 +266,18 @@ impl Parser<'_> {
         }
         match self.peek() {
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -371,14 +392,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str,
-                    // so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // escape at once. Both delimiters are ASCII, so
+                    // the run ends on a char boundary of the input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -467,6 +488,31 @@ mod tests {
         to_writer(&mut buf, &vec![(1usize, 2usize)]).unwrap();
         let back: Vec<(usize, usize)> = from_reader(buf.as_slice()).unwrap();
         assert_eq!(back, vec![(1, 2)]);
+    }
+
+    #[test]
+    fn strings_round_trip_escapes_multibyte_and_long_runs() {
+        let cases = [
+            "quote \" backslash \\ slash / newline \n tab \t cr \r bell \u{7} nul \0".to_string(),
+            "wafer 晶圆 — Ωμ 🙂 mixed with ascii".to_string(),
+            "x".repeat(1 << 20),
+            format!("{}\"{}", "é".repeat(1000), "a".repeat(1000)),
+        ];
+        for s in cases {
+            let json = to_string(&s).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s);
+        }
+        assert_eq!(from_str::<String>(r#""é\/\b\f""#).unwrap(), "é/\u{8}\u{c}");
+    }
+
+    #[test]
+    fn nesting_depth_is_limited() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&objects).is_err());
+        assert!(from_str::<Value>(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

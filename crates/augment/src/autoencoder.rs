@@ -65,6 +65,13 @@ impl AutoencoderConfig {
 
 /// Convolutional auto-encoder for one wafer defect class.
 ///
+/// [`ConvAutoencoder::train`] runs the training forward/backward
+/// passes; [`encode`](ConvAutoencoder::encode),
+/// [`decode`](ConvAutoencoder::decode) and
+/// [`reconstruct`](ConvAutoencoder::reconstruct) run the no-grad
+/// inference path (bit-identical to the training forward, but writing
+/// no activation caches), as Algorithm 1's generation loop needs.
+///
 /// # Example
 ///
 /// ```
@@ -72,7 +79,7 @@ impl AutoencoderConfig {
 /// use nn::Tensor;
 ///
 /// let config = AutoencoderConfig::for_grid(16).with_channels([4, 4, 4]);
-/// let mut ae = ConvAutoencoder::new(&config, 0);
+/// let ae = ConvAutoencoder::new(&config, 0);
 /// let x = Tensor::full(&[2, 1, 16, 16], 0.5);
 /// let z = ae.encode(&x);
 /// assert_eq!(z.shape(), &[2, 4, 2, 2]);
@@ -122,7 +129,8 @@ impl ConvAutoencoder {
     /// # Panics
     ///
     /// Panics if the input shape does not match the configuration.
-    pub fn encode(&mut self, images: &Tensor) -> Tensor {
+    #[must_use]
+    pub fn encode(&self, images: &Tensor) -> Tensor {
         let s = images.shape();
         assert_eq!(
             s,
@@ -130,7 +138,7 @@ impl ConvAutoencoder {
             "expected [N, 1, {g}, {g}] input",
             g = self.config.grid
         );
-        self.encoder.forward(images)
+        self.encoder.infer(images)
     }
 
     /// Decode latent maps back to `[N, 1, grid, grid]` images in
@@ -139,15 +147,17 @@ impl ConvAutoencoder {
     /// # Panics
     ///
     /// Panics if the latent shape does not match the configuration.
-    pub fn decode(&mut self, latent: &Tensor) -> Tensor {
+    #[must_use]
+    pub fn decode(&self, latent: &Tensor) -> Tensor {
         let [c, h, w] = self.config.latent_shape();
         let s = latent.shape();
         assert_eq!(s, &[s[0], c, h, w], "expected [N, {c}, {h}, {w}] latent");
-        self.decoder.forward(latent)
+        self.decoder.infer(latent)
     }
 
     /// Full reconstruction pass.
-    pub fn reconstruct(&mut self, images: &Tensor) -> Tensor {
+    #[must_use]
+    pub fn reconstruct(&self, images: &Tensor) -> Tensor {
         let z = self.encode(images);
         self.decode(&z)
     }
@@ -193,7 +203,8 @@ impl ConvAutoencoder {
                 }
                 let x =
                     Tensor::from_vec(data, &[batch.len(), 1, self.config.grid, self.config.grid]);
-                let recon = self.reconstruct(&x);
+                let latent = self.encoder.forward(&x);
+                let recon = self.decoder.forward(&latent);
                 let (loss, grad) = mse(&recon, &x);
                 self.encoder.zero_grad();
                 self.decoder.zero_grad();
@@ -219,7 +230,7 @@ mod tests {
 
     #[test]
     fn shapes_roundtrip() {
-        let mut ae = ConvAutoencoder::new(&tiny(), 0);
+        let ae = ConvAutoencoder::new(&tiny(), 0);
         let x = Tensor::full(&[3, 1, 16, 16], 0.5);
         let z = ae.encode(&x);
         assert_eq!(z.shape(), &[3, 4, 2, 2]);
@@ -256,10 +267,29 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let cfg = tiny();
-        let mut a = ConvAutoencoder::new(&cfg, 3);
-        let mut b = ConvAutoencoder::new(&cfg, 3);
+        let a = ConvAutoencoder::new(&cfg, 3);
+        let b = ConvAutoencoder::new(&cfg, 3);
         let x = Tensor::full(&[1, 1, 16, 16], 0.7);
         assert_eq!(a.reconstruct(&x).data(), b.reconstruct(&x).data());
+    }
+
+    #[test]
+    fn encode_decode_match_training_forward_bitwise() {
+        // Train briefly so the weights are not fresh initializations,
+        // then compare the no-grad wrappers against the layers'
+        // training forward on the trained auto-encoder. Grid 32 with
+        // one output channel in the last decoder convolution exercises
+        // its direct (im2col-free) lowering.
+        let cfg = AutoencoderConfig::for_grid(32).with_channels([8, 4, 4]);
+        let mut ae = ConvAutoencoder::new(&cfg, 7);
+        let mut rng = StdRng::seed_from_u64(8);
+        let x = Tensor::randn(&[3, 1, 32, 32], 0.5, &mut rng).map(|v| v.abs().min(1.0));
+        let _ = ae.train(&x, 2, 2, 3e-3, 9);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let z = ae.encode(&x);
+        assert_eq!(bits(&z), bits(&ae.encoder.forward(&x)));
+        assert_eq!(bits(&ae.decode(&z)), bits(&ae.decoder.forward(&z)));
+        assert_eq!(bits(&ae.reconstruct(&x)), bits(&ae.decoder.forward(&z)));
     }
 
     #[test]
@@ -271,7 +301,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "latent")]
     fn decode_validates_shape() {
-        let mut ae = ConvAutoencoder::new(&tiny(), 4);
+        let ae = ConvAutoencoder::new(&tiny(), 4);
         let _ = ae.decode(&Tensor::zeros(&[1, 3, 2, 2]));
     }
 }

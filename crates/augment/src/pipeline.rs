@@ -1,5 +1,6 @@
 //! Algorithm 1: synthetic-sample generation and dataset balancing.
 
+use std::cmp::Reverse;
 use std::time::Instant;
 
 use nn::Tensor;
@@ -267,22 +268,31 @@ impl Augmenter {
     /// Balance a dataset: run [`Augmenter::augment_class`] for every
     /// **defect** class (the paper leaves the majority `None` class
     /// untouched) whose count is below the target, and return the
-    /// merged dataset (originals first, then synthetics).
+    /// merged dataset (originals first, then synthetics in
+    /// `DefectClass::ALL` order).
     #[must_use]
     pub fn balance(&self, dataset: &Dataset) -> Dataset {
         let counts = dataset.class_counts();
         // Each under-target class trains its own auto-encoder from its
         // own seeded RNG, so classes are independent work items; fan
-        // them out across the worker pool and merge the results in
-        // `DefectClass::ALL` order, exactly as the serial loop did.
-        let classes: Vec<DefectClass> = DefectClass::ALL
+        // them out across the worker pool. Auto-encoder work grows with
+        // a class's original count, and the pool claims items in
+        // order, so dispatch the largest class first (a stable sort
+        // keeps ties in class order): the biggest item then overlaps
+        // the rest instead of running last on an otherwise idle pool.
+        let mut classes: Vec<DefectClass> = DefectClass::ALL
             .into_iter()
             .filter(|class| class.is_defect() && counts[class.index()] < self.config.target)
             .collect();
+        classes.sort_by_key(|class| Reverse(counts[class.index()]));
         let synthetics =
             nn::pool::parallel_map(classes.len(), |i| self.augment_class(dataset, classes[i]));
+        // Merge in `DefectClass::ALL` order, exactly as the serial loop
+        // did.
+        let mut merged: Vec<_> = classes.into_iter().zip(synthetics).collect();
+        merged.sort_by_key(|(class, _)| class.index());
         let mut out = dataset.clone();
-        for synth in synthetics {
+        for (_, synth) in merged {
             out.extend(synth);
         }
         out

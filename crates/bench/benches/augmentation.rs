@@ -16,7 +16,7 @@ fn bench_augmentation(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
     let map = generate(DefectClass::Donut, &gen_cfg, &mut rng);
     let ae_cfg = AutoencoderConfig::for_grid(32).with_channels([8, 8, 8]);
-    let mut ae = ConvAutoencoder::new(&ae_cfg, 1);
+    let ae = ConvAutoencoder::new(&ae_cfg, 1);
     let image = Tensor::from_vec(map.to_image(), &[1, 1, 32, 32]);
     let z = ae.encode(&image);
 

@@ -1,11 +1,13 @@
 //! Single-precision matrix-multiply kernels.
 //!
-//! Everything compute-heavy in this crate (convolution via im2col,
-//! linear layers and their backward passes) funnels into the three
-//! kernels here. The default implementation is cache-blocked: `B` is
-//! packed once into column panels, each row block packs `A` into
-//! register-tile order, and an `MR`×`NR` microkernel keeps the output
-//! tile in registers across a `KC`-deep strip of the contraction axis.
+//! Almost everything compute-heavy in this crate (convolution via
+//! im2col, linear layers and their backward passes) funnels into the
+//! three kernels here; only convolutions with fewer than `MR` output
+//! channels take a direct path instead (`layers::conv_narrow`). The
+//! default implementation is cache-blocked: `B` is packed once into
+//! column panels, each row block packs `A` into register-tile order,
+//! and an `MR`×`NR` microkernel keeps the output tile in registers
+//! across a `KC`-deep strip of the contraction axis.
 //! Row blocks fan out across the persistent worker pool
 //! ([`crate::pool`]) once the FLOP count justifies the dispatch.
 //!

@@ -3,16 +3,25 @@ use std::cell::RefCell;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
+use super::conv_narrow::{self, Geometry};
+use crate::gemm::{sgemm, sgemm_nt, sgemm_tn, MR};
 use crate::pool::{self, Shards};
 use crate::{init, workspace, Layer, Param, Tensor};
 
-/// 2-D convolution (stride 1) via im2col + GEMM.
+/// 2-D convolution (stride 1).
 ///
 /// Input `[N, C_in, H, W]`, output `[N, C_out, H_out, W_out]` with
 /// `H_out = H + 2·pad − k + 1`. The paper's CNN uses "same"-style
 /// padding so that only the 2×2 max-pool steps shrink the feature
 /// maps; [`Conv2d::same`] picks `pad = k / 2` for odd kernels.
+///
+/// The lowering follows from the shape alone. Layers with at least
+/// `gemm::MR` (4) output channels unfold each sample with im2col and
+/// run one GEMM. Narrower layers, such as the auto-encoder's last
+/// decoder convolution (one output channel), convolve directly from a
+/// zero-padded copy of each sample, since a GEMM would spend most of
+/// its register tile on padding rows. Both lowerings give
+/// bit-identical results (DESIGN.md §11, "Narrow convolutions").
 ///
 /// # Example
 ///
@@ -41,38 +50,53 @@ pub struct Conv2d {
 }
 
 thread_local! {
-    /// Reusable im2col buffer for [`Conv2d::infer`] (and
-    /// [`super::ConvBlock::infer`]). One per thread:
-    /// pool workers are persistent, so after warm-up the serving path
-    /// performs no per-call allocation. `im2col` overwrites every
-    /// element (padding included), so the buffer never needs zeroing.
+    /// Reusable per-sample lowering buffer for [`Conv2d::infer`] (and
+    /// [`super::ConvBlock::infer`]): an im2col block, or a padded plane
+    /// on the direct path. One per thread: pool workers are
+    /// persistent, so after warm-up the serving path performs no
+    /// per-call allocation. Both lowerings overwrite every element
+    /// they read (padding included), so the buffer never needs
+    /// zeroing.
     pub(super) static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Reusable `dcol` buffer for [`Conv2d::backward`]'s per-sample
-    /// input-gradient GEMM. Per thread, like [`COL_SCRATCH`]: samples
-    /// fan out across pool workers, and each worker zero-fills the
-    /// buffer before the accumulate-GEMM (a memory touch, not an
+    /// Reusable input-gradient buffer for [`Conv2d::backward`]: the
+    /// `dcol` block of the per-sample GEMM, or the padded gradient
+    /// plane on the direct path. Per thread, like [`COL_SCRATCH`]:
+    /// samples fan out across pool workers, and each worker zero-fills
+    /// the buffer before accumulating into it (a memory touch, not an
     /// allocation).
     static DCOL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// How a [`Conv2d`] lowers each sample; fixed by the layer's shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Lowering {
+    /// im2col into a `[C_in·k·k, H_out·W_out]` block, then GEMM.
+    Im2col,
+    /// Direct convolution from a zero-padded `[C_in, H+2p, W+2p]`
+    /// plane (`C_out < gemm::MR`; see `conv_narrow`).
+    Direct,
 }
 
 #[derive(Debug)]
 struct ConvCache {
     input_shape: [usize; 4],
     out_hw: (usize, usize),
-    /// im2col buffers, one `[C_in·k·k, H_out·W_out]` block per sample.
-    /// Owned by the cache between `forward` and `backward`; reclaimed
-    /// into [`ConvScratch::cols`] by the next `forward`, so steady-state
-    /// training re-uses one warm buffer instead of allocating per batch.
-    cols: Vec<f32>,
+    /// What the forward pass kept of each sample for the backward pass,
+    /// [`Conv2d::lowered_len`] floats apiece: its im2col block or its
+    /// padded plane. Owned by the cache between `forward` and
+    /// `backward`; reclaimed into [`ConvScratch::lowered`] by the next
+    /// `forward`, so steady-state training re-uses one warm buffer
+    /// instead of allocating per batch.
+    lowered: Vec<f32>,
 }
 
 /// Per-layer training workspace, grown once to the largest batch shape
 /// seen (see [`crate::workspace`]) and excluded from serialization.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// Parked im2col buffer (moves into [`ConvCache::cols`] during the
-    /// forward→backward window).
-    cols: Vec<f32>,
+    /// Parked lowering buffer (moves into [`ConvCache::lowered`] during
+    /// the forward→backward window).
+    lowered: Vec<f32>,
     /// Per-sample weight-gradient partials, `[N, C_out·C_in·k·k]`.
     dw_partials: Vec<f32>,
     /// Per-sample bias-gradient partials, `[N, C_out]`.
@@ -146,6 +170,38 @@ impl Conv2d {
         self.in_channels * self.kernel * self.kernel
     }
 
+    /// The lowering this layer's shape selects.
+    fn lowering(&self) -> Lowering {
+        if self.out_channels < MR {
+            Lowering::Direct
+        } else {
+            Lowering::Im2col
+        }
+    }
+
+    /// Direct-path geometry for an `h x w` input.
+    fn geometry(&self, h: usize, w: usize) -> Geometry {
+        let (oh, ow) = self.output_hw(h, w);
+        Geometry {
+            c_in: self.in_channels,
+            c_out: self.out_channels,
+            k: self.kernel,
+            pad: self.pad,
+            h,
+            w,
+            oh,
+            ow,
+        }
+    }
+
+    /// Floats one `h x w` sample occupies under `lowering`.
+    fn lowered_len(&self, lowering: Lowering, h: usize, w: usize) -> usize {
+        match lowering {
+            Lowering::Im2col => self.col_len(h, w),
+            Lowering::Direct => self.geometry(h, w).stride(),
+        }
+    }
+
     /// Check `input` is `[N, C_in, H, W]` and return its shape.
     pub(super) fn input_dims(&self, input: &Tensor) -> [usize; 4] {
         let shape = input.shape();
@@ -186,11 +242,30 @@ impl Conv2d {
         sgemm(self.out_channels, self.col_rows(), oh * ow, self.weight.value.data(), col, out_n);
     }
 
-    /// Add the per-channel bias to one sample's `[C_out, OH·OW]` output.
-    fn add_bias(&self, out_n: &mut [f32]) {
-        let plane = out_n.len() / self.out_channels;
-        for (chunk, &b) in out_n.chunks_exact_mut(plane).zip(self.bias()) {
-            chunk.iter_mut().for_each(|v| *v += b);
+    /// Forward one sample `[C_in, H, W]` into its zeroed output
+    /// `out_n [C_out, OH·OW]`, lowering it into `lowered` (which the
+    /// backward pass reads back).
+    fn forward_sample(
+        &self,
+        sample: &[f32],
+        h: usize,
+        w: usize,
+        lowered: &mut [f32],
+        out_n: &mut [f32],
+    ) {
+        match self.lowering() {
+            Lowering::Im2col => {
+                self.gemm_sample(sample, h, w, lowered, out_n);
+                let plane = out_n.len() / self.out_channels;
+                for (chunk, &b) in out_n.chunks_exact_mut(plane).zip(self.bias()) {
+                    chunk.iter_mut().for_each(|v| *v += b);
+                }
+            }
+            Lowering::Direct => {
+                let g = self.geometry(h, w);
+                conv_narrow::pad_sample(&g, sample, lowered);
+                conv_narrow::forward(&g, self.weight.value.data(), self.bias(), lowered, out_n);
+            }
         }
     }
 
@@ -199,7 +274,8 @@ impl Conv2d {
     /// `input_shape`, `dout(i, body)` hands sample `i`'s output
     /// gradient `[C_out, OH·OW]` to `body`, which accumulates that
     /// sample's weight/bias partials and folds its input gradient.
-    /// `cols` holds the forward pass's per-sample im2col blocks.
+    /// `lowered` holds the forward pass's per-sample lowering buffers
+    /// under `lowering` (the fused block always uses im2col).
     ///
     /// `dout` runs on pool workers, so a caller can rebuild the
     /// gradient into per-thread scratch instead of materializing it
@@ -207,7 +283,8 @@ impl Conv2d {
     pub(super) fn backward_samples<F>(
         &mut self,
         input_shape: [usize; 4],
-        cols: &[f32],
+        lowering: Lowering,
+        lowered: &[f32],
         dout: F,
     ) -> Tensor
     where
@@ -217,6 +294,8 @@ impl Conv2d {
         let (oh, ow) = self.output_hw(h, w);
         let col_rows = self.col_rows();
         let col_size = col_rows * oh * ow;
+        let per_sample = self.lowered_len(lowering, h, w);
+        let g = self.geometry(h, w);
         let c_out = self.out_channels;
         let w_len = self.weight.grad.numel();
         let mut grad_input = Tensor::zeros(&[n, c, h, w]);
@@ -235,22 +314,33 @@ impl Conv2d {
             let gi_shards = Shards::new(grad_input.data_mut(), c * h * w);
             let this = &*self;
             pool::parallel_for(n, |i| {
-                let col = &cols[i * col_size..(i + 1) * col_size];
+                let saved = &lowered[i * per_sample..(i + 1) * per_sample];
                 dout(i, &mut |dout_n| {
-                    // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                    sgemm_nt(c_out, oh * ow, col_rows, dout_n, col, dw_shards.claim(i));
                     // db_i[co] = Σ dOut_i[co, :]
                     let db_i = db_shards.claim(i);
                     for (co, chunk) in dout_n.chunks_exact(oh * ow).enumerate() {
                         db_i[co] = chunk.iter().sum::<f32>();
                     }
-                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i
+                    let weight = this.weight.value.data();
+                    let (dw_i, grad_i) = (dw_shards.claim(i), gi_shards.claim(i));
                     DCOL_SCRATCH.with(|cell| {
                         let mut buf = cell.borrow_mut();
-                        let dcol = workspace::reserve_f32(&mut buf, col_size);
-                        dcol.fill(0.0);
-                        sgemm_tn(col_rows, c_out, oh * ow, this.weight.value.data(), dout_n, dcol);
-                        this.col2im(dcol, h, w, gi_shards.claim(i));
+                        match lowering {
+                            Lowering::Im2col => {
+                                // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
+                                sgemm_nt(c_out, oh * ow, col_rows, dout_n, saved, dw_i);
+                                // dcol [CKK, OH·OW] = Wᵀ · dOut_i
+                                let dcol = workspace::reserve_f32(&mut buf, col_size);
+                                dcol.fill(0.0);
+                                sgemm_tn(col_rows, c_out, oh * ow, weight, dout_n, dcol);
+                                this.col2im(dcol, h, w, grad_i);
+                            }
+                            Lowering::Direct => {
+                                conv_narrow::weight_grad(&g, dout_n, saved, dw_i);
+                                let gpad = workspace::reserve_f32(&mut buf, g.plane());
+                                conv_narrow::input_grad(&g, weight, dout_n, gpad, grad_i);
+                            }
+                        }
                     });
                 });
             });
@@ -337,54 +427,50 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let [n, c, h, w] = self.input_dims(input);
         let (oh, ow) = self.output_hw(h, w);
-        let col_size = self.col_len(h, w);
-        // Reclaim the warm im2col buffer (from the previous cache or
-        // the parked scratch) instead of allocating per batch; `im2col`
-        // overwrites every element, so no zeroing either.
-        let mut cols = self
+        let per_sample = self.lowered_len(self.lowering(), h, w);
+        // Reclaim the warm lowering buffer (from the previous cache or
+        // the parked scratch) instead of allocating per batch; both
+        // lowerings overwrite every element they read, so no zeroing
+        // either.
+        let mut lowered = self
             .cache
             .take()
-            .map(|prev| prev.cols)
-            .unwrap_or_else(|| std::mem::take(&mut self.scratch.cols));
-        workspace::reserve_f32(&mut cols, n * col_size);
+            .map(|prev| prev.lowered)
+            .unwrap_or_else(|| std::mem::take(&mut self.scratch.lowered));
+        workspace::reserve_f32(&mut lowered, n * per_sample);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         let out_plane = self.out_channels * oh * ow;
         if oh * ow > 0 {
-            // One chunk per sample: im2col buffers and output planes
+            // One chunk per sample: lowering buffers and output planes
             // are disjoint per-sample shards, so the batch fans out
             // across the worker pool with no cross-sample state.
             let input_data = input.data();
-            let col_shards = Shards::new(&mut cols[..n * col_size], col_size);
+            let lowered_shards = Shards::new(&mut lowered[..n * per_sample], per_sample);
             let out_shards = Shards::new(out.data_mut(), out_plane);
             let this = &*self;
             pool::parallel_for(n, |i| {
                 let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                let out_n = out_shards.claim(i);
-                this.gemm_sample(sample, h, w, col_shards.claim(i), out_n);
-                this.add_bias(out_n);
+                this.forward_sample(sample, h, w, lowered_shards.claim(i), out_shards.claim(i));
             });
         }
-        self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow), cols });
+        self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow), lowered });
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let [n, c, h, w] = self.input_dims(input);
         let (oh, ow) = self.output_hw(h, w);
-        let col_size = self.col_len(h, w);
+        let per_sample = self.lowered_len(self.lowering(), h, w);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         if oh * ow > 0 {
             let input_data = input.data();
-            let out_data = out.data_mut();
             let out_plane = self.out_channels * oh * ow;
             COL_SCRATCH.with(|cell| {
-                let mut col = cell.borrow_mut();
-                workspace::reserve_f32(&mut col, col_size);
-                for i in 0..n {
+                let mut buf = cell.borrow_mut();
+                let lowered = workspace::reserve_f32(&mut buf, per_sample);
+                for (i, out_n) in out.data_mut().chunks_exact_mut(out_plane).enumerate() {
                     let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                    let out_n = &mut out_data[i * out_plane..(i + 1) * out_plane];
-                    self.gemm_sample(sample, h, w, &mut col[..col_size], out_n);
-                    self.add_bias(out_n);
+                    self.forward_sample(sample, h, w, lowered, out_n);
                 }
             });
         }
@@ -402,9 +488,10 @@ impl Layer for Conv2d {
         );
         let out_plane = self.out_channels * oh * ow;
         let dout = grad_output.data();
-        let grad_input = self.backward_samples(cache.input_shape, &cache.cols, |i, body| {
-            body(&dout[i * out_plane..(i + 1) * out_plane]);
-        });
+        let grad_input =
+            self.backward_samples(cache.input_shape, self.lowering(), &cache.lowered, |i, body| {
+                body(&dout[i * out_plane..(i + 1) * out_plane]);
+            });
         self.cache = Some(cache);
         grad_input
     }

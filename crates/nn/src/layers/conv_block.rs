@@ -3,7 +3,7 @@ use std::cell::RefCell;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use super::conv::{Conv2d, COL_SCRATCH};
+use super::conv::{Conv2d, Lowering, COL_SCRATCH};
 use crate::pool::{self, Shards};
 use crate::{workspace, Layer, Param, Tensor};
 
@@ -203,7 +203,7 @@ impl Layer for ConvBlock {
         let pooled = c_out * ph * pw;
         let grad = grad_output.data();
         let codes = &self.codes;
-        self.conv.backward_samples(input_shape, &self.cols, |i, body| {
+        self.conv.backward_samples(input_shape, Lowering::Im2col, &self.cols, |i, body| {
             TILE.with(|cell| {
                 let mut buf = cell.borrow_mut();
                 let tile = workspace::reserve_f32(&mut buf, c_out * oh * ow);

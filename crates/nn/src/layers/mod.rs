@@ -9,6 +9,7 @@ mod avgpool;
 mod batchnorm;
 mod conv;
 mod conv_block;
+pub(crate) mod conv_narrow;
 mod convtranspose;
 mod dropout;
 mod linear;

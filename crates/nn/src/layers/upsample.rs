@@ -36,10 +36,9 @@ impl Upsample2d {
         assert!(factor > 0, "upsample factor must be non-zero");
         Upsample2d { factor, input_shape: None }
     }
-}
 
-impl Layer for Upsample2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    /// The kernel shared by [`Layer::forward`] and [`Layer::infer`].
+    fn upsample(&self, input: &Tensor) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "Upsample2d expects [N, C, H, W]");
         let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
@@ -58,8 +57,20 @@ impl Layer for Upsample2d {
                 }
             }
         }
-        self.input_shape = Some([n, c, h, w]);
         out
+    }
+}
+
+impl Layer for Upsample2d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.upsample(input);
+        let shape = input.shape();
+        self.input_shape = Some([shape[0], shape[1], shape[2], shape[3]]);
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.upsample(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -110,6 +121,14 @@ mod tests {
         let _ = up.forward(&x);
         let g = up.backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]));
         assert_eq!(g.data(), &[10.0]);
+    }
+
+    #[test]
+    fn infer_matches_forward() {
+        let mut up = Upsample2d::new(3);
+        let x = Tensor::from_vec(vec![1.0, -0.0, f32::NAN, 4.0, 5.0, 6.0], &[1, 2, 1, 3]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&up.infer(&x)), bits(&up.forward(&x)));
     }
 
     #[test]

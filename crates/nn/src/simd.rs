@@ -1,10 +1,14 @@
-//! Explicit SIMD micro-kernels for the GEMM core.
+//! Explicit SIMD micro-kernels for the GEMM core and for the direct
+//! lowering of narrow convolutions.
 //!
 //! On `x86_64` with AVX2 + FMA (detected once at runtime) the blocked
-//! GEMM's innermost loops run as 8-lane vector code; everywhere else —
-//! other architectures, older x86, or `WM_FORCE_SCALAR=1` — the safe
-//! wrappers here return `false` and the portable scalar kernels in
-//! [`crate::gemm`] run instead.
+//! GEMM's innermost loops, and the direct convolution kernels, run as
+//! 8-lane vector code; everywhere else — other architectures, older
+//! x86, or `WM_FORCE_SCALAR=1` — the safe wrappers here return `false`
+//! and the portable scalar kernels in [`crate::gemm`] and
+//! `layers::conv_narrow` run instead. The convolution kernels keep the
+//! same contract as the GEMM ones below: each lane is one independent
+//! accumulation chain, stepped in its scalar order.
 //!
 //! # Bit-identity
 //!
@@ -32,6 +36,8 @@
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::layers::conv_narrow::Geometry;
 
 /// Dispatch state: detection has not run yet.
 const UNINIT: u8 = 0;
@@ -190,15 +196,86 @@ pub(crate) fn pack_b_transposed(bp: &mut [f32], b: &[f32], k: usize, n: usize) -
     false
 }
 
+/// `f32` lanes per AVX2 vector.
+pub(crate) const LANES: usize = 8;
+
+/// Output vectors (or weight-gradient tap rows) per register group of
+/// the narrow-convolution kernels: eight accumulators plus the shared
+/// broadcast stay within the 16 `ymm` registers, and eight independent
+/// chains cover the fused multiply-add latency.
+#[cfg(target_arch = "x86_64")]
+const CONV_GROUP: usize = 8;
+
+/// Vector forward of a narrow direct convolution (see
+/// `layers::conv_narrow`): returns `true` if the AVX2 kernel ran.
+#[inline]
+pub(crate) fn narrow_conv_forward(
+    g: &Geometry,
+    weight: &[f32],
+    bias: &[f32],
+    xp: &[f32],
+    out: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` is true only after AVX2+FMA detection.
+        unsafe { avx2::narrow_forward(g, weight, bias, xp, out) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (g, weight, bias, xp, out);
+    false
+}
+
+/// Vector weight gradient of a narrow direct convolution: returns
+/// `true` if the AVX2 kernel ran.
+#[inline]
+pub(crate) fn narrow_conv_weight_grad(
+    g: &Geometry,
+    dout: &[f32],
+    xp: &[f32],
+    dw: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` is true only after AVX2+FMA detection.
+        unsafe { avx2::narrow_weight_grad(g, dout, xp, dw) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (g, dout, xp, dw);
+    false
+}
+
+/// Vector input-gradient scatter of a narrow direct convolution into a
+/// zeroed padded plane: returns `true` if the AVX2 kernel ran.
+#[inline]
+pub(crate) fn narrow_conv_input_grad(
+    g: &Geometry,
+    weight: &[f32],
+    dout: &[f32],
+    gpad: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` is true only after AVX2+FMA detection.
+        unsafe { avx2::narrow_input_grad(g, weight, dout, gpad) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (g, weight, dout, gpad);
+    false
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
+        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_permute2f128_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
         _mm256_unpacklo_ps,
     };
 
-    use super::THIN_ROWS;
+    use super::{Geometry, CONV_GROUP, LANES, THIN_ROWS};
     use crate::gemm::{MR, NR, NTW, THIN_K};
 
     /// AVX2 `MR`×`NR` register tile, bit-identical to
@@ -614,5 +691,247 @@ mod avx2 {
             _mm256_permute2f128_ps::<0x31>(s2, s6),
             _mm256_permute2f128_ps::<0x31>(s3, s7),
         ]
+    }
+
+    /// Run `$group::<R>` for a group of `$rows` (1..=[`CONV_GROUP`])
+    /// with the group size as a const generic, so each group's
+    /// accumulators live in registers.
+    macro_rules! by_group_size {
+        ($rows:expr, $group:ident($($arg:expr),*)) => {
+            match $rows {
+                8 => $group::<8>($($arg),*),
+                7 => $group::<7>($($arg),*),
+                6 => $group::<6>($($arg),*),
+                5 => $group::<5>($($arg),*),
+                4 => $group::<4>($($arg),*),
+                3 => $group::<3>($($arg),*),
+                2 => $group::<2>($($arg),*),
+                _ => $group::<1>($($arg),*),
+            }
+        };
+    }
+
+    /// AVX2 forward of a narrow direct convolution, bit-identical to
+    /// `conv_narrow::forward`'s scalar loop: the output plane of each
+    /// channel is cut into 8-wide row vectors (the last one per row
+    /// partial), and groups of [`CONV_GROUP`] vectors fold all taps in
+    /// `(c, ky, kx)` order, one broadcast weight feeding every
+    /// accumulator. Each lane is one output's own chain.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 + FMA are available. The geometry and
+    /// the slice lengths are checked here: `xp` must cover the plane
+    /// plus `LANES − 1` slack.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn narrow_forward(
+        g: &Geometry,
+        weight: &[f32],
+        bias: &[f32],
+        xp: &[f32],
+        out: &mut [f32],
+    ) {
+        g.assert_consistent();
+        let (taps, plane) = (g.taps(), g.oh * g.ow);
+        let weight = &weight[..g.c_out * taps];
+        let xp = &xp[..g.plane() + LANES - 1];
+        let out = &mut out[..g.c_out * plane];
+        let vectors = g.oh * g.ow.div_ceil(LANES);
+        for co in 0..g.c_out {
+            let w_co = &weight[co * taps..(co + 1) * taps];
+            let out_co = &mut out[co * plane..(co + 1) * plane];
+            let mut v0 = 0;
+            while v0 < vectors {
+                let rows = (vectors - v0).min(CONV_GROUP);
+                by_group_size!(rows, forward_group(g, w_co, bias[co], xp, out_co, v0));
+                v0 += rows;
+            }
+        }
+    }
+
+    /// Output vectors `v0..v0 + R` of one channel of
+    /// [`narrow_forward`]; vector `v` is row `v / cpr`, columns from
+    /// `(v % cpr)·8`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 + FMA available; `xp.len() >= g.plane() + LANES − 1`,
+    /// `w_co.len() == g.taps()`, `out_co.len() == g.oh·g.ow`,
+    /// `v0 + R <= g.oh·cpr`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn forward_group<const R: usize>(
+        g: &Geometry,
+        w_co: &[f32],
+        b: f32,
+        xp: &[f32],
+        out_co: &mut [f32],
+        v0: usize,
+    ) {
+        let (k, hp, wp, ow) = (g.k, g.hp(), g.wp(), g.ow);
+        let cpr = ow.div_ceil(LANES);
+        let at = |r: usize| ((v0 + r) / cpr, (v0 + r) % cpr * LANES);
+        let base: [usize; R] = std::array::from_fn(|r| {
+            let (oy, ox0) = at(r);
+            oy * wp + ox0
+        });
+        // In bounds: the deepest load starts at
+        // (c_in−1)·hp·wp + (k−1)·wp + (k−1) + (oh−1)·wp + ox0 with
+        // ox0 <= ow−1, i.e. at most plane − 1, and reads 8 floats.
+        let mut acc = [_mm256_setzero_ps(); R];
+        let mut taps = w_co.iter();
+        for c in 0..g.c_in {
+            for ky in 0..k {
+                let row = xp.as_ptr().add(c * hp * wp + ky * wp);
+                for (kx, &w) in taps.by_ref().take(k).enumerate() {
+                    let wv = _mm256_set1_ps(w);
+                    for (slot, &off) in acc.iter_mut().zip(&base) {
+                        *slot = _mm256_fmadd_ps(wv, _mm256_loadu_ps(row.add(off + kx)), *slot);
+                    }
+                }
+            }
+        }
+        let bv = _mm256_set1_ps(b);
+        for (r, &slot) in acc.iter().enumerate() {
+            let (oy, ox0) = at(r);
+            let width = (ow - ox0).min(LANES);
+            let mut lanes = [0.0f32; LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_add_ps(slot, bv));
+            out_co[oy * ow + ox0..oy * ow + ox0 + width].copy_from_slice(&lanes[..width]);
+        }
+    }
+
+    /// AVX2 weight gradient of a narrow direct convolution,
+    /// bit-identical to `conv_narrow::weight_grad`'s scalar loop. Each
+    /// tap row `(c, ky)` and 8-wide `kx` chunk is one vector whose
+    /// lanes are the chunk's taps; groups of [`CONV_GROUP`] such
+    /// vectors walk the output positions in `(oy, ox)` order, one
+    /// broadcast `dout` value feeding every accumulator. Lanes past
+    /// `k` read the neighbouring padded pixels and are discarded.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 + FMA are available. The geometry and
+    /// the slice lengths are checked here: `xp` must cover the plane
+    /// plus `LANES − 1` slack.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn narrow_weight_grad(
+        g: &Geometry,
+        dout: &[f32],
+        xp: &[f32],
+        dw: &mut [f32],
+    ) {
+        g.assert_consistent();
+        let (taps, plane) = (g.taps(), g.oh * g.ow);
+        let dout = &dout[..g.c_out * plane];
+        let xp = &xp[..g.plane() + LANES - 1];
+        let dw = &mut dw[..g.c_out * taps];
+        let rows = g.c_in * g.k * g.k.div_ceil(LANES);
+        for co in 0..g.c_out {
+            let d_co = &dout[co * plane..(co + 1) * plane];
+            let dw_co = &mut dw[co * taps..(co + 1) * taps];
+            let mut r0 = 0;
+            while r0 < rows {
+                let count = (rows - r0).min(CONV_GROUP);
+                by_group_size!(count, weight_grad_group(g, d_co, xp, dw_co, r0));
+                r0 += count;
+            }
+        }
+    }
+
+    /// Tap vectors `r0..r0 + R` of one output channel of
+    /// [`narrow_weight_grad`]; vector `r` is tap row `r / chunks`
+    /// (`= c·k + ky`), taps `kx` from `(r % chunks)·8`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 + FMA available; `xp.len() >= g.plane() + LANES − 1`,
+    /// `d_co.len() == g.oh·g.ow`, `dw_co.len() == g.taps()`,
+    /// `r0 + R <= g.c_in·g.k·chunks`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn weight_grad_group<const R: usize>(
+        g: &Geometry,
+        d_co: &[f32],
+        xp: &[f32],
+        dw_co: &mut [f32],
+        r0: usize,
+    ) {
+        let (k, hp, wp, ow) = (g.k, g.hp(), g.wp(), g.ow);
+        let chunks = k.div_ceil(LANES);
+        let at = |r: usize| ((r0 + r) / chunks, (r0 + r) % chunks * LANES);
+        let base: [usize; R] = std::array::from_fn(|r| {
+            let (ck, kx0) = at(r);
+            (ck / k) * hp * wp + (ck % k) * wp + kx0
+        });
+        // In bounds: the deepest load starts at
+        // (c_in−1)·hp·wp + (k−1)·wp + kx0 + (oh−1)·wp + (ow−1) with
+        // kx0 <= k−1, i.e. at most plane − 1, and reads 8 floats.
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (oy, d_row) in d_co.chunks_exact(ow).enumerate() {
+            let row = xp.as_ptr().add(oy * wp);
+            for (ox, &d) in d_row.iter().enumerate() {
+                let dv = _mm256_set1_ps(d);
+                for (slot, &off) in acc.iter_mut().zip(&base) {
+                    *slot = _mm256_fmadd_ps(dv, _mm256_loadu_ps(row.add(off + ox)), *slot);
+                }
+            }
+        }
+        for (r, &slot) in acc.iter().enumerate() {
+            let (ck, kx0) = at(r);
+            let width = (k - kx0).min(LANES);
+            let mut lanes = [0.0f32; LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), slot);
+            dw_co[ck * k + kx0..ck * k + kx0 + width].copy_from_slice(&lanes[..width]);
+        }
+    }
+
+    /// AVX2 input-gradient scatter of a narrow direct convolution,
+    /// bit-identical to `conv_narrow::scatter_taps`: taps in
+    /// `(c, ky, kx)` order, each adding `fold_co W[co, p]·dout[co, j]`
+    /// into the padded plane 8 output columns at a time (distinct
+    /// columns hit distinct cells, so lanes never collide); the
+    /// `ow % 8` tail runs the same steps as scalar `mul_add` chains.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 + FMA are available. Slice lengths are
+    /// checked here.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn narrow_input_grad(
+        g: &Geometry,
+        weight: &[f32],
+        dout: &[f32],
+        gpad: &mut [f32],
+    ) {
+        let (k, hp, wp, ow) = (g.k, g.hp(), g.wp(), g.ow);
+        let (taps, plane) = (g.taps(), g.oh * ow);
+        let weight = &weight[..g.c_out * taps];
+        let dout = &dout[..g.c_out * plane];
+        let gpad = &mut gpad[..g.plane()];
+        let full = ow - ow % LANES;
+        for p in 0..taps {
+            let (c, ky, kx) = (p / (k * k), p / k % k, p % k);
+            for oy in 0..g.oh {
+                let cells = &mut gpad[c * hp * wp + (oy + ky) * wp + kx..][..ow];
+                let d_at = oy * ow;
+                for ox in (0..full).step_by(LANES) {
+                    // In bounds: ox + 8 <= full <= ow, so every load
+                    // stays inside its `dout` row and its `cells` row.
+                    let mut v = _mm256_setzero_ps();
+                    for co in 0..g.c_out {
+                        let d = _mm256_loadu_ps(dout.as_ptr().add(co * plane + d_at + ox));
+                        v = _mm256_fmadd_ps(_mm256_set1_ps(weight[co * taps + p]), d, v);
+                    }
+                    let dst = cells.as_mut_ptr().add(ox);
+                    _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), v));
+                }
+                for (ox, cell) in cells.iter_mut().enumerate().skip(full) {
+                    let mut v = 0.0f32;
+                    for co in 0..g.c_out {
+                        v = weight[co * taps + p].mul_add(dout[co * plane + d_at + ox], v);
+                    }
+                    *cell += v;
+                }
+            }
+        }
     }
 }

@@ -42,14 +42,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use faultsim::{byte_classes, flip_bit_at, truncate_at, FaultPlan, SimClock};
+use faultsim::{byte_classes, flip_bit_at, truncate_at, FaultPlan};
 use nn::serialize::{read_container, write_container, Checkpoint, StateDict};
 use nn::{pool, simd, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selective::{CheckpointBundle, LoadError, SelectiveConfig, SelectiveModel};
 use serde::{Deserialize, Serialize, Value};
-use serve::{Engine, RawWafer, ServeConfig, ShedReason, WaferDecision};
+use serve::{Engine, RawWafer, ServeConfig, ShedReason, SimClock, WaferDecision};
 
 #[derive(Serialize)]
 struct CorruptionScenario {

@@ -1,13 +1,9 @@
 //! Serving-throughput benchmark on the paper-shape model (Table I
-//! architecture, 32×32 grid): batched selective inference through the
-//! `serve` engine against the pre-engine serving status quo.
+//! architecture, 32×32 grid): selective inference through the `serve`
+//! engine, one wafer per call against full micro-batches.
 //!
-//! Four modes over the same wafer stream and the same weights:
+//! Three modes over the same wafer stream and the same weights:
 //!
-//! - **baseline** — per-wafer `SelectiveModel::predict` calls on the
-//!   legacy compute core ([`nn::pool::ComputeMode::Legacy`]): the
-//!   naive-GEMM training forward pass, one wafer at a time, exactly
-//!   how serving looked before the engine existed.
 //! - **per_wafer** — the engine at `micro_batch = 1`: blocked GEMM +
 //!   the no-grad inference path, still one wafer per call.
 //! - **batched** — the engine at `micro_batch = 64`: full micro-batches
@@ -16,8 +12,7 @@
 //!   micro-kernels forced off (`WM_FORCE_SCALAR` path), isolating the
 //!   SIMD contribution under serving shapes.
 //!
-//! The headline `speedup` is batched vs the per-wafer baseline. The
-//! pool is widened to at least 4 workers so micro-batch fan-out is
+//! The pool is widened to at least 4 workers so micro-batch fan-out is
 //! measured even on single-core CI hosts.
 //!
 //! Before timing, every mode's decisions are asserted bit-identical
@@ -35,9 +30,7 @@
 
 use std::time::Instant;
 
-use nn::pool::{self, ComputeMode};
-use nn::simd;
-use nn::Tensor;
+use nn::{pool, simd};
 use selective::{CheckpointBundle, SelectiveConfig, SelectiveModel};
 use serde::Serialize;
 use serve::{Engine, ServeConfig};
@@ -66,13 +59,10 @@ struct Report {
     grid: usize,
     pool_threads: usize,
     smoke: bool,
-    baseline: ModeResult,
     per_wafer: ModeResult,
     batched: ModeResult,
     /// Batched engine with the SIMD micro-kernels forced off.
     batched_forced_scalar: ModeResult,
-    /// Batched engine vs the per-wafer legacy baseline (the headline).
-    speedup: f64,
     /// Batched engine vs the per-wafer engine (batching alone).
     speedup_vs_per_wafer_engine: f64,
     /// Batched engine vs its forced-scalar twin (SIMD alone).
@@ -80,36 +70,6 @@ struct Report {
     /// Telemetry snapshot of the best batched engine pass (the same
     /// registry `Engine::prometheus` renders for scrapes).
     telemetry: telemetry::Snapshot,
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    let n = sorted_ms.len();
-    let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-    sorted_ms[rank - 1]
-}
-
-/// One timed pass of the pre-engine status quo: per-wafer
-/// training-path `forward` calls on the legacy compute core. Returns
-/// the wall clock and per-wafer latencies in milliseconds.
-fn baseline_pass(bundle: &CheckpointBundle, workload: &[WaferMap]) -> (f64, Vec<f64>) {
-    let grid = bundle.model_config().grid;
-    let pixels = grid * grid;
-    pool::set_compute_mode(ComputeMode::Legacy);
-    let mut model = bundle.build_model().expect("valid bundle");
-    let mut latencies = Vec::with_capacity(workload.len());
-    let start = Instant::now();
-    for w in workload {
-        let mut data = Vec::with_capacity(pixels);
-        data.extend(w.to_image());
-        let image = Tensor::from_vec(data, &[1, 1, grid, grid]);
-        let t = Instant::now();
-        let (_, scores) = model.forward(&image);
-        latencies.push(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(scores.len(), 1);
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    pool::set_compute_mode(ComputeMode::Pooled);
-    (wall_ms, latencies)
 }
 
 /// One timed pass of the full workload through a fresh engine at one
@@ -174,7 +134,7 @@ fn assert_decisions_invariant(bundle: &CheckpointBundle, workload: &[WaferMap], 
     );
 }
 
-/// Best-of-`samples` over the four modes, **interleaved** — one
+/// Best-of-`samples` over the three modes, **interleaved** — one
 /// sample of each mode per round, so slow machine-wide drift (thermal
 /// or noisy neighbors) hits every mode instead of biasing whichever
 /// ran last.
@@ -182,23 +142,17 @@ fn run_modes(
     bundle: &CheckpointBundle,
     workload: &[WaferMap],
     samples: u32,
-) -> (ModeResult, ModeResult, ModeResult, ModeResult, telemetry::Snapshot) {
+) -> (ModeResult, ModeResult, ModeResult, telemetry::Snapshot) {
     // Warm-up pass per mode: pages in weights and thread-local
     // scratch so the first timed sample is not an outlier.
-    let _ = baseline_pass(bundle, workload);
     let _ = engine_pass(bundle, workload, 1, false);
     let _ = engine_pass(bundle, workload, 64, false);
     let _ = engine_pass(bundle, workload, 64, true);
 
-    let mut base: Option<(f64, Vec<f64>)> = None;
     let mut eng1: Option<(f64, serve::ServeReport)> = None;
     let mut eng64: Option<(f64, serve::ServeReport)> = None;
     let mut eng64s: Option<(f64, serve::ServeReport)> = None;
     for _ in 0..samples.max(1) {
-        let b = baseline_pass(bundle, workload);
-        if base.as_ref().is_none_or(|cur| b.0 < cur.0) {
-            base = Some(b);
-        }
         let e1 = engine_pass(bundle, workload, 1, false);
         if eng1.as_ref().is_none_or(|cur| e1.0 < cur.0) {
             eng1 = Some(e1);
@@ -213,20 +167,6 @@ fn run_modes(
         }
     }
 
-    let (base_ms, mut base_lat) = base.expect("at least one sample");
-    base_lat.sort_by(f64::total_cmp);
-    let baseline = ModeResult {
-        mode: "baseline (legacy per-wafer predict)".to_string(),
-        micro_batch: 1,
-        wafers: workload.len() as u64,
-        wall_ms: base_ms,
-        throughput_wafers_per_sec: workload.len() as f64 / (base_ms / 1e3),
-        latency_p50_ms: percentile(&base_lat, 50.0),
-        latency_p99_ms: percentile(&base_lat, 99.0),
-        // One wafer per call: the whole latency is model compute.
-        compute_p50_ms: percentile(&base_lat, 50.0),
-        compute_p99_ms: percentile(&base_lat, 99.0),
-    };
     let engine_result =
         |mode: &str, micro_batch: usize, (wall_ms, report): (f64, serve::ServeReport)| ModeResult {
             mode: mode.to_string(),
@@ -248,7 +188,7 @@ fn run_modes(
         64,
         eng64s.expect("at least one sample"),
     );
-    (baseline, per_wafer, batched, batched_scalar, batched_telemetry)
+    (per_wafer, batched, batched_scalar, batched_telemetry)
 }
 
 fn main() {
@@ -279,9 +219,8 @@ fn main() {
 
     assert_decisions_invariant(&bundle, &workload, threads);
 
-    let (baseline, per_wafer, batched, batched_forced_scalar, batched_telemetry) =
+    let (per_wafer, batched, batched_forced_scalar, batched_telemetry) =
         run_modes(&bundle, &workload, samples);
-    let speedup = batched.throughput_wafers_per_sec / baseline.throughput_wafers_per_sec;
     let speedup_vs_per_wafer_engine =
         batched.throughput_wafers_per_sec / per_wafer.throughput_wafers_per_sec;
     let speedup_vs_forced_scalar =
@@ -291,7 +230,7 @@ fn main() {
         "  {:<38} {:>10} {:>12} {:>10} {:>10} {:>12}",
         "mode", "wall ms", "wafers/s", "p50 ms", "p99 ms", "compute p50"
     );
-    for r in [&baseline, &per_wafer, &batched, &batched_forced_scalar] {
+    for r in [&per_wafer, &batched, &batched_forced_scalar] {
         println!(
             "  {:<38} {:>10.1} {:>12.1} {:>10.3} {:>10.3} {:>12.3}",
             r.mode,
@@ -302,12 +241,8 @@ fn main() {
             r.compute_p50_ms
         );
     }
-    println!("\n  batched vs per-wafer baseline: {speedup:.2}x");
-    println!("  batched vs per-wafer engine:   {speedup_vs_per_wafer_engine:.2}x");
+    println!("\n  batched vs per-wafer engine:   {speedup_vs_per_wafer_engine:.2}x");
     println!("  batched vs forced-scalar:      {speedup_vs_forced_scalar:.2}x");
-    if !smoke && speedup < 2.0 {
-        eprintln!("WARNING: batched speedup {speedup:.2}x below the 2x acceptance bar");
-    }
     // Smoke runs are one sample over a tiny stream — enough to verify
     // plumbing, too noisy to hold a throughput ordering against.
     if !smoke {
@@ -318,9 +253,9 @@ fn main() {
     }
 
     let report = Report {
-        description: "selective-inference serving throughput: per-wafer legacy predict \
-                      (pre-engine status quo) vs the serve engine per-wafer, batched \
-                      (micro_batch=64), and batched with SIMD forced off; wall-clock \
+        description: "selective-inference serving throughput: the serve engine \
+                      per-wafer (micro_batch=1), batched (micro_batch=64), and batched \
+                      with SIMD forced off; wall-clock \
                       best-of-samples on identical weights and workload; latency_* is \
                       per-wafer completion (includes micro-batch ride-along), compute_* \
                       is model time alone; decisions asserted bit-identical across \
@@ -329,11 +264,9 @@ fn main() {
         grid,
         pool_threads: pool::num_threads(),
         smoke,
-        baseline,
         per_wafer,
         batched,
         batched_forced_scalar,
-        speedup,
         speedup_vs_per_wafer_engine,
         speedup_vs_forced_scalar,
         telemetry: batched_telemetry,

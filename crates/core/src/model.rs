@@ -386,6 +386,9 @@ impl Layer for ParamChain<'_> {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         input.clone()
     }
+    fn infer(&self, input: &Tensor) -> Tensor {
+        input.clone()
+    }
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         grad.clone()
     }

@@ -4,9 +4,10 @@
 //! Production failures are rare, diverse, and — worst of all —
 //! unrepeatable. This crate makes them cheap and repeatable instead:
 //! a [`FaultPlan`] seeded through the in-tree `rand` crate injects
-//! the three fault families the serving stack must survive, and the
+//! the two fault families the serving stack must survive, and the
 //! same seed always injects the same faults, so every chaos test and
-//! the `chaos_report` bench are bit-reproducible:
+//! the `chaos_report` bench are bit-reproducible (deadline pressure
+//! comes from `serve::SimClock`):
 //!
 //! - **File corruption** — [`truncate_at`] / [`flip_bit_at`] hit a
 //!   chosen offset; [`FaultPlan::truncate_file`] /
@@ -15,11 +16,6 @@
 //!   on-disk region (magic, version, length, checksum, payload head /
 //!   interior / tail) so a test can sweep every structurally distinct
 //!   corruption without trying every byte of a megabyte checkpoint.
-//! - **Clock pressure** — [`SimClock`] is a manually- or
-//!   auto-advancing monotonic clock. The serving engine reads time
-//!   through its `Clock` trait, so deadline breaches become a
-//!   deterministic function of the submitted workload instead of a
-//!   flaky wall-clock race.
 //! - **Input poisoning** — [`FaultPlan::poison_pixels`] corrupts a raw
 //!   wafer image buffer with one of the illegal-input shapes the
 //!   serving validator must catch (NaN, infinity, out-of-range or
@@ -35,8 +31,6 @@
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,64 +298,6 @@ impl FaultPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Simulated clock
-// ---------------------------------------------------------------------------
-
-/// A monotonic clock whose time only moves when the test says so.
-///
-/// `now()` reports nanoseconds since the clock's construction. Two
-/// modes compose:
-///
-/// - **Manual**: call [`SimClock::advance`] between operations.
-/// - **Auto-step**: construct with [`SimClock::with_step`] and every
-///   `now()` read advances time by the step *after* reporting — a
-///   cheap model of "each observation costs `step` of wall time",
-///   which is how the chaos harness applies deterministic deadline
-///   pressure to the serving engine.
-///
-/// The counter is atomic, so a `SimClock` can be shared behind an
-/// `Arc` between a test and the engine reading it.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    nanos: AtomicU64,
-    step_nanos: u64,
-}
-
-impl SimClock {
-    /// A clock frozen at zero; advances only via [`SimClock::advance`].
-    #[must_use]
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// A clock that advances by `step` after every [`SimClock::now`]
-    /// read.
-    #[must_use]
-    pub fn with_step(step: Duration) -> Self {
-        SimClock {
-            nanos: AtomicU64::new(0),
-            step_nanos: u64::try_from(step.as_nanos()).unwrap_or(u64::MAX),
-        }
-    }
-
-    /// Advance the clock by `by`.
-    pub fn advance(&self, by: Duration) {
-        self.nanos.fetch_add(u64::try_from(by.as_nanos()).unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// Time elapsed since construction. In auto-step mode the clock
-    /// then advances by its step.
-    #[must_use]
-    pub fn now(&self) -> Duration {
-        if self.step_nanos == 0 {
-            Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
-        } else {
-            Duration::from_nanos(self.nanos.fetch_add(self.step_nanos, Ordering::Relaxed))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,20 +368,6 @@ mod tests {
         for (i, (x, y)) in base.iter().zip(&a).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "pixel {i} changed unexpectedly");
         }
-    }
-
-    #[test]
-    fn sim_clock_manual_and_auto_step() {
-        let manual = SimClock::new();
-        assert_eq!(manual.now(), Duration::ZERO);
-        manual.advance(Duration::from_millis(5));
-        assert_eq!(manual.now(), Duration::from_millis(5));
-
-        let auto = SimClock::with_step(Duration::from_millis(2));
-        assert_eq!(auto.now(), Duration::ZERO);
-        assert_eq!(auto.now(), Duration::from_millis(2));
-        auto.advance(Duration::from_millis(10));
-        assert_eq!(auto.now(), Duration::from_millis(14));
     }
 
     #[test]

@@ -25,14 +25,10 @@
 //! and the pool only changes which thread computes which block. The
 //! padded microkernel lanes (when `m % MR != 0` or `n % NR != 0`)
 //! operate on zero-filled packing slots and are never stored.
-//!
-//! The earlier spawn-per-call implementation is preserved verbatim in
-//! [`legacy`] and selected by [`crate::pool::ComputeMode::Legacy`] so
-//! the `perf_report` benchmark can measure before/after in one process.
 
 use std::cell::RefCell;
 
-use crate::pool::{self, ComputeMode, Shards};
+use crate::pool::{self, Shards};
 use crate::{simd, workspace};
 
 thread_local! {
@@ -101,12 +97,10 @@ pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    match pool::compute_mode() {
-        ComputeMode::Legacy => legacy::sgemm(m, k, n, a, b, c),
-        ComputeMode::Pooled if m * k * n < SMALL_THRESHOLD => {
-            reference::sgemm(m, k, n, a, b, c);
-        }
-        ComputeMode::Pooled => blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::RowMajor),
+    if m * k * n < SMALL_THRESHOLD {
+        reference::sgemm(m, k, n, a, b, c);
+    } else {
+        blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::RowMajor);
     }
 }
 
@@ -122,17 +116,14 @@ pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= n * k, "B too short: {} < {}", b.len(), n * k);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    match pool::compute_mode() {
-        ComputeMode::Legacy => legacy::sgemm_nt(m, k, n, a, b, c),
-        ComputeMode::Pooled if m * k * n < SMALL_THRESHOLD => {
-            reference::sgemm_nt(m, k, n, a, b, c);
+    if m * k * n < SMALL_THRESHOLD {
+        reference::sgemm_nt(m, k, n, a, b, c);
+    } else if m <= 2 {
+        if !simd::nt_narrow(m, k, n, a, b, c) {
+            nt_narrow(m, k, n, a, b, c);
         }
-        ComputeMode::Pooled if m <= 2 => {
-            if !simd::nt_narrow(m, k, n, a, b, c) {
-                nt_narrow(m, k, n, a, b, c);
-            }
-        }
-        ComputeMode::Pooled => blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::Transposed),
+    } else {
+        blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::Transposed);
     }
 }
 
@@ -191,12 +182,10 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     assert!(a.len() >= k * m, "A too short: {} < {}", a.len(), k * m);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    match pool::compute_mode() {
-        ComputeMode::Legacy => legacy::sgemm_tn(m, k, n, a, b, c),
-        ComputeMode::Pooled if m * k * n < SMALL_THRESHOLD => {
-            reference::sgemm_tn(m, k, n, a, b, c);
-        }
-        ComputeMode::Pooled => blocked(m, k, n, a, b, c, ALayout::KMajor, BLayout::RowMajor),
+    if m * k * n < SMALL_THRESHOLD {
+        reference::sgemm_tn(m, k, n, a, b, c);
+    } else {
+        blocked(m, k, n, a, b, c, ALayout::KMajor, BLayout::RowMajor);
     }
 }
 
@@ -569,108 +558,6 @@ pub mod reference {
     }
 }
 
-/// The pre-pool implementation, preserved verbatim (including its
-/// zero-skip branches and spawn-per-call threading) as the baseline the
-/// `perf_report` binary measures against. Selected globally via
-/// [`crate::pool::ComputeMode::Legacy`]; not used on the default path.
-pub mod legacy {
-    use std::num::NonZeroUsize;
-
-    /// FLOP threshold (m·k·n) above which the kernels fan out to threads.
-    const PARALLEL_THRESHOLD: usize = 1 << 18;
-
-    /// Legacy [`super::sgemm`].
-    pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        parallel_rows(m, k, n, c, |i0, c_block| {
-            for (di, c_row) in c_block.chunks_exact_mut(n).enumerate() {
-                let i = i0 + di;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
-                        *c_ij += a_ip * b_pj;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Legacy [`super::sgemm_nt`].
-    pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        parallel_rows(m, k, n, c, |i0, c_block| {
-            for (di, c_row) in c_block.chunks_exact_mut(n).enumerate() {
-                let i = i0 + di;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, c_ij) in c_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *c_ij += acc;
-                }
-            }
-        });
-    }
-
-    /// Legacy [`super::sgemm_tn`].
-    pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        parallel_rows(m, k, n, c, |i0, c_block| {
-            for (di, c_row) in c_block.chunks_exact_mut(n).enumerate() {
-                let i = i0 + di;
-                for p in 0..k {
-                    let a_pi = a[p * m + i];
-                    if a_pi == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
-                        *c_ij += a_pi * b_pj;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Number of worker threads to use for a problem of `flops` size.
-    fn thread_count(flops: usize) -> usize {
-        if flops < PARALLEL_THRESHOLD {
-            return 1;
-        }
-        std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(16)
-    }
-
-    /// Split the `m` output rows of `c` into contiguous blocks and run
-    /// `body(first_row, block)` on each, across threads when worthwhile.
-    fn parallel_rows<F>(m: usize, k: usize, n: usize, c: &mut [f32], body: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        let threads = thread_count(m * k * n).min(m.max(1));
-        if threads <= 1 {
-            body(0, &mut c[..m * n]);
-            return;
-        }
-        let rows_per = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = &mut c[..m * n];
-            let mut row = 0usize;
-            while row < m {
-                let take = rows_per.min(m - row);
-                let (block, tail) = rest.split_at_mut(take * n);
-                let first = row;
-                let body = &body;
-                scope.spawn(move || body(first, block));
-                rest = tail;
-                row += take;
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,22 +683,6 @@ mod tests {
             blocked(m, k, n, &a, &b, &mut c, ALayout::RowMajor, BLayout::RowMajor);
             reference::sgemm(m, k, n, &a, &b, &mut expect);
             assert_eq!(c, expect, "shape ({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn legacy_mode_matches_default_within_tolerance() {
-        let (m, k, n) = (9, 33, 21);
-        let a = rand_vec(m * k, 14);
-        let b = rand_vec(k * n, 15);
-        let mut fast = vec![0.0; m * n];
-        sgemm(m, k, n, &a, &b, &mut fast);
-        pool::set_compute_mode(ComputeMode::Legacy);
-        let mut slow = vec![0.0; m * n];
-        sgemm(m, k, n, &a, &b, &mut slow);
-        pool::set_compute_mode(ComputeMode::Pooled);
-        for (x, y) in fast.iter().zip(&slow) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
     }
 

@@ -2,11 +2,12 @@
 //! deep-selective-learning reproduction.
 //!
 //! This crate provides everything the paper's models need and nothing
-//! more: a dense `f32` [`Tensor`], a threaded GEMM, convolutional /
-//! pooling / linear layers with **manual backpropagation**, common
-//! activations, fused softmax cross-entropy and MSE losses, He/Xavier
-//! initialization, and SGD/Adam optimizers. Weights serialize with
-//! `serde` for checkpointing.
+//! more: a dense `f32` [`Tensor`], a threaded GEMM, the Table I layers
+//! (convolution, the fused Conv → ReLU → MaxPool block, linear,
+//! flatten, sigmoid) plus the auto-encoder's upsampling, all with
+//! **manual backpropagation**, fused softmax cross-entropy and MSE
+//! losses, He/Xavier initialization, and the Adam optimizer. Weights
+//! serialize with `serde` for checkpointing.
 //!
 //! The design follows a classic layer-object architecture: each
 //! [`Layer`] caches whatever it needs during `forward` and consumes it
@@ -54,7 +55,6 @@ pub mod layers;
 pub mod loss;
 pub mod optim;
 pub mod pool;
-pub mod schedule;
 pub mod serialize;
 pub mod simd;
 pub mod workspace;
@@ -76,26 +76,18 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// needed by the backward pass.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
-    /// Inference-only forward pass: same output as [`Layer::forward`]
-    /// (bit-identical for the layers that implement it) but through
-    /// `&self` — no activation caches are written, so nothing is
-    /// retained for `backward` and no per-call buffers need to be
-    /// zeroed or kept alive.
+    /// Inference-only forward pass: the same output as
+    /// [`Layer::forward`], bit for bit, but through `&self` — no
+    /// activation caches are written, so nothing is retained for
+    /// `backward` and no per-call buffers need to be zeroed or kept
+    /// alive.
     ///
     /// This is the serving path. It runs single-threaded per call;
     /// callers parallelize **across samples** (see
     /// `pool::parallel_map`), which keeps each sample's working set
     /// cache-resident and makes results independent of the worker-pool
-    /// size. Stochastic layers behave as in eval mode (dropout is the
-    /// identity).
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: training-oriented layers
-    /// that never appear on a serving path do not implement it.
-    fn infer(&self, _input: &Tensor) -> Tensor {
-        panic!("this layer does not implement the inference-only forward pass");
-    }
+    /// size.
+    fn infer(&self, input: &Tensor) -> Tensor;
 
     /// Propagate `grad_output` (d loss / d output) backward, returning
     /// d loss / d input and accumulating parameter gradients.

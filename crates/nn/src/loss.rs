@@ -249,33 +249,6 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss / n, grad)
 }
 
-/// Binary cross-entropy on probabilities in `(0, 1)` with `{0, 1}`
-/// targets: `L = mean(−t·ln p − (1−t)·ln(1−p))`, with the matching
-/// gradient w.r.t. `p`. Probabilities are clamped to
-/// `[1e-7, 1 − 1e-7]` for stability.
-///
-/// Used for training the selection head in isolation (e.g. warm-up or
-/// diagnostic probes); the main selective objective lives in the
-/// `selective` crate.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or an empty tensor.
-#[must_use]
-pub fn binary_cross_entropy(probs: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-    assert_eq!(probs.shape(), targets.shape(), "bce shape mismatch");
-    let n = probs.numel() as f32;
-    assert!(n > 0.0, "bce on empty tensor");
-    let mut grad = probs.clone();
-    let mut loss = 0.0f32;
-    for (g, &t) in grad.data_mut().iter_mut().zip(targets.data()) {
-        let p = g.clamp(1e-7, 1.0 - 1e-7);
-        loss += -t * p.ln() - (1.0 - t) * (1.0 - p).ln();
-        *g = (p - t) / (p * (1.0 - p)) / n;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -394,38 +367,5 @@ mod tests {
     fn argmax_prefers_first_on_tie() {
         assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
         assert_eq!(argmax(&[0.1, 0.9, 0.9]), 1);
-    }
-
-    #[test]
-    fn bce_perfect_and_worst_cases() {
-        let targets = Tensor::from_vec(vec![1.0, 0.0], &[2]);
-        let good = Tensor::from_vec(vec![0.999, 0.001], &[2]);
-        let (low, _) = binary_cross_entropy(&good, &targets);
-        assert!(low < 0.01);
-        let bad = Tensor::from_vec(vec![0.001, 0.999], &[2]);
-        let (high, _) = binary_cross_entropy(&bad, &targets);
-        assert!(high > 3.0);
-    }
-
-    #[test]
-    fn bce_gradient_matches_finite_differences() {
-        let targets = Tensor::from_vec(vec![1.0, 0.0, 1.0], &[3]);
-        let probs = Tensor::from_vec(vec![0.3, 0.6, 0.8], &[3]);
-        let (_, grad) = binary_cross_entropy(&probs, &targets);
-        let eps = 1e-4f32;
-        for i in 0..3 {
-            let mut pp = probs.clone();
-            pp.data_mut()[i] += eps;
-            let mut pm = probs.clone();
-            pm.data_mut()[i] -= eps;
-            let (lp, _) = binary_cross_entropy(&pp, &targets);
-            let (lm, _) = binary_cross_entropy(&pm, &targets);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (numeric - grad.data()[i]).abs() < 1e-2,
-                "bce grad mismatch at {i}: {numeric} vs {}",
-                grad.data()[i]
-            );
-        }
     }
 }

@@ -27,9 +27,9 @@
 //!
 //! # Safety
 //!
-//! This is the one module in the crate allowed to use `unsafe`
-//! (the crate root is `#![deny(unsafe_code)]`, not `forbid`, exactly
-//! for this file). Two invariants carry all of it:
+//! This module opts back in to `unsafe` (the crate root is
+//! `#![deny(unsafe_code)]`, not `forbid`; `simd` is the only other
+//! module that does). Two invariants carry all of it here:
 //!
 //! - A submitted job's closure pointer is only dereferenced between
 //!   submission and the moment its last chunk completes, and
@@ -44,41 +44,8 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Which compute implementation the crate's kernels dispatch to.
-///
-/// `Legacy` reproduces the pre-pool behavior — naive GEMM loops with
-/// spawn-per-call threading and serial batch loops — and exists so the
-/// `perf_report` binary can measure an honest before/after in one
-/// process. `Pooled` (the default) is the blocked-GEMM + worker-pool
-/// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComputeMode {
-    /// Pre-optimization code paths (benchmark baseline).
-    Legacy,
-    /// Blocked kernels + persistent pool (default).
-    Pooled,
-}
-
-static COMPUTE_MODE: AtomicU8 = AtomicU8::new(1);
-
-/// Select the global compute implementation. Intended for benchmarks;
-/// normal code never calls this.
-pub fn set_compute_mode(mode: ComputeMode) {
-    COMPUTE_MODE.store(matches!(mode, ComputeMode::Pooled) as u8, Ordering::Relaxed);
-}
-
-/// The current global compute implementation.
-#[must_use]
-pub fn compute_mode() -> ComputeMode {
-    if COMPUTE_MODE.load(Ordering::Relaxed) == 0 {
-        ComputeMode::Legacy
-    } else {
-        ComputeMode::Pooled
-    }
-}
 
 /// Erased pointer to a `Fn(usize)` chunk body whose borrow outlives the
 /// job (guaranteed by `parallel_for` blocking until completion).
@@ -177,8 +144,8 @@ thread_local! {
 struct PoolMetrics {
     /// Regions fanned out across the pool.
     jobs: telemetry::Counter,
-    /// Regions run serially inline (single chunk, limit 1, legacy
-    /// mode, or nested inside a pool chunk).
+    /// Regions run serially inline (single chunk, limit 1, or nested
+    /// inside a pool chunk).
     serial_regions: telemetry::Counter,
     /// Chunks executed, by anyone.
     chunks: telemetry::Counter,
@@ -280,9 +247,8 @@ fn run_chunks(job: &Job, is_worker: bool) {
 /// the worker pool when profitable.
 ///
 /// Runs serially inline (chunks in index order) when any of these hold:
-/// fewer than two chunks, the thread limit is 1, the global mode is
-/// [`ComputeMode::Legacy`], or the caller is already inside a pool
-/// chunk (nested region).
+/// fewer than two chunks, the thread limit is 1, or the caller is
+/// already inside a pool chunk (nested region).
 ///
 /// # Panics
 ///
@@ -296,7 +262,7 @@ where
         return;
     }
     let nested = IN_POOL.with(Cell::get);
-    if chunks == 1 || nested || compute_mode() == ComputeMode::Legacy || num_threads() <= 1 {
+    if chunks == 1 || nested || num_threads() <= 1 {
         metrics().serial_regions.inc();
         for chunk in 0..chunks {
             body(chunk);
@@ -497,14 +463,6 @@ mod tests {
         let shards = Shards::new(&mut data, 4);
         let _a = shards.claim(1);
         let _b = shards.claim(1);
-    }
-
-    #[test]
-    fn legacy_mode_bypasses_the_pool() {
-        set_compute_mode(ComputeMode::Legacy);
-        let got = parallel_map(5, |i| i + 1);
-        set_compute_mode(ComputeMode::Pooled);
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -225,18 +225,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data }
     }
 
-    /// In-place `self += scale * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(self.shape, other.shape, "add_scaled shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Multiply every element by `scale` in place.
     pub fn scale(&mut self, scale: f32) {
         self.data.iter_mut().for_each(|v| *v *= scale);
@@ -256,12 +244,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Largest absolute element (L∞ norm).
-    #[must_use]
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
 
     /// Whether every element is finite.
@@ -488,11 +470,8 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_scale() {
-        let mut a = Tensor::full(&[4], 1.0);
-        let b = Tensor::full(&[4], 2.0);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.data(), &[2.0; 4]);
+    fn scale_multiplies_in_place() {
+        let mut a = Tensor::full(&[4], 2.0);
         a.scale(3.0);
         assert_eq!(a.data(), &[6.0; 4]);
     }
@@ -501,7 +480,6 @@ mod tests {
     fn map_and_reductions() {
         let t = Tensor::from_vec(vec![-1.0, 2.0, -3.0], &[3]);
         assert_eq!(t.map(f32::abs).sum(), 6.0);
-        assert_eq!(t.max_abs(), 3.0);
         assert!((t.mean() - (-2.0 / 3.0)).abs() < 1e-6);
         assert!(t.is_finite());
         assert!(!t.map(|v| v / 0.0).is_finite());

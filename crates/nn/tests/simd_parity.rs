@@ -107,7 +107,7 @@ proptest! {
     }
 }
 
-/// The exact Table I shapes `perf_report` measures (`BENCH_compute.json`),
+/// The exact Table I shapes recorded in `BENCH_compute.json`,
 /// for all three kernels: conv forwards (`nn`), the fc forward and conv
 /// weight-gradient (`nt`), and the conv input-gradients (`tn`).
 #[test]

@@ -39,7 +39,7 @@
 //!   submission that overruns its budget sheds the not-yet-served
 //!   remainder instead of stalling the caller. Time is read through
 //!   the [`Clock`] trait, so tests drive deadline pressure
-//!   deterministically with `faultsim::SimClock`.
+//!   deterministically with [`SimClock`].
 //! - **Queue overflow** — with [`ServeConfig::max_queue_depth`] set,
 //!   a submission deeper than the queue bound sheds the excess
 //!   instead of letting latency grow without bound.
@@ -80,6 +80,7 @@
 
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,8 +99,9 @@ pub struct ServeConfig {
     /// the worker pool in batched blocks; 1 degenerates to per-wafer
     /// inference.
     pub micro_batch: usize,
-    /// Initial selection threshold τ; [`Engine::calibrate`] replaces
-    /// it with a coverage-calibrated value.
+    /// Initial selection threshold τ; must be finite.
+    /// [`Engine::calibrate`] replaces it with a coverage-calibrated
+    /// value.
     pub threshold: f32,
     /// Coverage the deployed model is expected to sustain (the
     /// monitor's reference level).
@@ -143,10 +145,9 @@ impl Default for ServeConfig {
 
 /// Monotonic time source for deadline enforcement.
 ///
-/// Production engines use [`WallClock`]; tests install a
-/// `faultsim::SimClock` (which implements this trait) via
-/// [`Engine::with_clock`] so deadline pressure is deterministic and
-/// independent of machine speed.
+/// Production engines use [`WallClock`]; tests install a [`SimClock`]
+/// via [`Engine::with_clock`] so deadline pressure is deterministic
+/// and independent of machine speed.
 pub trait Clock: fmt::Debug + Send + Sync {
     /// Elapsed time since an arbitrary fixed origin.
     fn now(&self) -> Duration;
@@ -178,9 +179,57 @@ impl Clock for WallClock {
     }
 }
 
-impl Clock for faultsim::SimClock {
+/// A monotonic clock whose time only moves when the test says so.
+///
+/// `now()` reports nanoseconds since the clock's construction. Two
+/// modes compose:
+///
+/// - **Manual**: call [`SimClock::advance`] between operations.
+/// - **Auto-step**: construct with [`SimClock::with_step`] and every
+///   `now()` read advances time by the step *after* reporting — a
+///   cheap model of "each observation costs `step` of wall time",
+///   which is how the chaos harness applies deterministic deadline
+///   pressure to the engine.
+///
+/// The counter is atomic, so a `SimClock` can be shared behind an
+/// `Arc` between a test and the engine reading it.
+#[derive(Debug, Default)]
+pub struct SimClock {
+    nanos: AtomicU64,
+    step_nanos: u64,
+}
+
+impl SimClock {
+    /// A clock frozen at zero; advances only via [`SimClock::advance`].
+    #[must_use]
+    pub fn new() -> Self {
+        SimClock::default()
+    }
+
+    /// A clock that advances by `step` after every [`Clock::now`] read.
+    #[must_use]
+    pub fn with_step(step: Duration) -> Self {
+        SimClock {
+            nanos: AtomicU64::new(0),
+            step_nanos: u64::try_from(step.as_nanos()).unwrap_or(u64::MAX),
+        }
+    }
+
+    /// Advance the clock by `by`.
+    pub fn advance(&self, by: Duration) {
+        self.nanos.fetch_add(u64::try_from(by.as_nanos()).unwrap_or(u64::MAX), Ordering::Relaxed);
+    }
+}
+
+impl Clock for SimClock {
+    /// Time elapsed since construction. In auto-step mode the clock
+    /// then advances by its step.
     fn now(&self) -> Duration {
-        faultsim::SimClock::now(self)
+        if self.step_nanos == 0 {
+            Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
+        } else {
+            Duration::from_nanos(self.nanos.fetch_add(self.step_nanos, Ordering::Relaxed))
+        }
     }
 }
 
@@ -560,6 +609,10 @@ impl Engine {
         if config.stats_window == 0 {
             return Err(ServeError::InvalidConfig("stats_window must be non-zero".into()));
         }
+        // Not capped at 1: a calibrated τ above every score is legal.
+        if !config.threshold.is_finite() {
+            return Err(ServeError::InvalidConfig("threshold must be finite".into()));
+        }
         if let Some(deadline) = config.deadline {
             if !(deadline.is_finite() && deadline > 0.0) {
                 return Err(ServeError::InvalidConfig(
@@ -603,7 +656,7 @@ impl Engine {
     }
 
     /// Replace the engine's time source — used by tests to drive
-    /// deadline shedding deterministically with `faultsim::SimClock`.
+    /// deadline shedding deterministically with [`SimClock`].
     #[must_use]
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
@@ -1044,6 +1097,20 @@ mod tests {
     }
 
     #[test]
+    fn sim_clock_manual_and_auto_step() {
+        let manual = SimClock::new();
+        assert_eq!(manual.now(), Duration::ZERO);
+        manual.advance(Duration::from_millis(5));
+        assert_eq!(manual.now(), Duration::from_millis(5));
+
+        let auto = SimClock::with_step(Duration::from_millis(2));
+        assert_eq!(auto.now(), Duration::ZERO);
+        assert_eq!(auto.now(), Duration::from_millis(2));
+        auto.advance(Duration::from_millis(10));
+        assert_eq!(auto.now(), Duration::from_millis(14));
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         let bundle = tiny_bundle(7);
         for bad in [
@@ -1056,6 +1123,9 @@ mod tests {
             ServeConfig { deadline: Some(f64::NAN), ..ServeConfig::default() },
             ServeConfig { deadline: Some(-1.0), ..ServeConfig::default() },
             ServeConfig { max_queue_depth: Some(0), ..ServeConfig::default() },
+            ServeConfig { threshold: f32::NAN, ..ServeConfig::default() },
+            ServeConfig { threshold: f32::INFINITY, ..ServeConfig::default() },
+            ServeConfig { threshold: f32::NEG_INFINITY, ..ServeConfig::default() },
         ] {
             assert!(matches!(Engine::from_bundle(&bundle, bad), Err(ServeError::InvalidConfig(_))));
         }
@@ -1120,7 +1190,7 @@ mod tests {
         // pre-loop check reads once per micro-batch, so batch 1 starts
         // at t=30ms (within budget), batch 2 would start at t=60ms
         // (over budget) and its wafers are shed.
-        let clock = Arc::new(faultsim::SimClock::with_step(Duration::from_millis(30)));
+        let clock = Arc::new(SimClock::with_step(Duration::from_millis(30)));
         let mut engine = Engine::from_bundle(
             &bundle,
             ServeConfig { micro_batch: 2, deadline: Some(0.05), ..ServeConfig::default() },

@@ -6,12 +6,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use faultsim::{FaultPlan, SimClock};
+use faultsim::FaultPlan;
 use nn::{pool, simd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selective::{CheckpointBundle, SelectiveConfig, SelectiveModel};
-use serve::{Engine, RawWafer, Route, ServeConfig, ShedReason, WaferDecision};
+use serve::{Engine, RawWafer, Route, ServeConfig, ShedReason, SimClock, WaferDecision};
 use wafermap::gen::{generate, GenConfig};
 use wafermap::{DefectClass, WaferMap};
 
